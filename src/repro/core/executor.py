@@ -50,6 +50,7 @@ from repro.machine.topology import KNLMachine
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.profiling import CellProfile, ProfileHook
+from repro.util.fileio import replace_text
 from repro.workloads.base import Workload
 
 T = TypeVar("T")
@@ -220,6 +221,23 @@ def cache_key(
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+#: Bound on :data:`_CELL_KEYS` (the run cache's default capacity).
+CELL_KEY_MEMO_SIZE = 4096
+
+# Cell keys are memoized per (machine, workload, config) *object*, thread
+# count and check mode: the serving layer and the planner key the same
+# memoized sized_workload/make_config objects over and over, and each
+# key is a JSON encoding plus a SHA-256.  Like the fingerprints, the
+# strong references in the value pin the ids against reuse; workloads
+# are fixed at construction (see Workload.profile_cached).  Insertion
+# order makes the first entry the oldest, evicted first.
+_CELL_KEYS: dict[
+    tuple[int, int, int, int, str | None],
+    tuple[KNLMachine, Workload, SystemConfig, str],
+] = {}
+_CELL_KEYS_LOCK = threading.Lock()
+
+
 # -- record (de)serialization -------------------------------------------------
 
 def record_to_json(record: RunRecord) -> dict[str, Any]:
@@ -342,9 +360,7 @@ class RunCache:
             self._store(key, record)
         path = self._disk_path(key)
         if path is not None:
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(record_to_json(record), sort_keys=True))
-            tmp.replace(path)
+            replace_text(path, json.dumps(record_to_json(record), sort_keys=True))
 
     def _store(self, key: str, record: RunRecord) -> None:
         self._lru[key] = record
@@ -577,14 +593,22 @@ class SweepExecutor:
             )
 
     def cache_key(self, cell: SweepCell) -> str:
+        """:func:`cache_key` of ``cell`` on this executor's machine and
+        check mode, memoized per object (see :data:`_CELL_KEYS`)."""
+        machine = self.runner.machine
         checking = self.checking
-        return cache_key(
-            self.runner.machine,
-            cell.workload,
-            cell.config,
-            cell.num_threads,
-            check=checking.mode.value if checking is not None else None,
-        )
+        check = checking.mode.value if checking is not None else None
+        workload, config = cell.workload, cell.config
+        memo = (id(machine), id(workload), id(config), cell.num_threads, check)
+        entry = _CELL_KEYS.get(memo)
+        if entry is not None:
+            return entry[3]
+        key = cache_key(machine, workload, config, cell.num_threads, check=check)
+        with _CELL_KEYS_LOCK:
+            while len(_CELL_KEYS) >= CELL_KEY_MEMO_SIZE:
+                del _CELL_KEYS[next(iter(_CELL_KEYS))]
+            _CELL_KEYS[memo] = (machine, workload, config, key)
+        return key
 
     def _execute(
         self, cells: Sequence[SweepCell]

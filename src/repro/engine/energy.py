@@ -115,10 +115,12 @@ class EnergyModel:
         The record-level twin of :meth:`estimate` — prices the
         workload's profile under the record's simulated run, which is
         how the energy report and the capacity planner
-        (:mod:`repro.plan`) both consume the model.  Returns ``None``
-        for infeasible records (no run to price).
+        (:mod:`repro.plan`) both consume the model.  The profile is
+        :meth:`~repro.workloads.base.Workload.profile_cached`: a
+        constant of the instance, not rebuilt per record.  Returns
+        ``None`` for infeasible records (no run to price).
         """
         run = getattr(record, "run_result", None)
         if run is None:
             return None
-        return self.estimate(workload.profile(), run)
+        return self.estimate(workload.profile_cached(), run)

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -54,6 +53,7 @@ from typing import TYPE_CHECKING, Any
 from repro.engine.batch import TABLES_VERSION
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.util.fileio import replace_text
 
 if TYPE_CHECKING:
     from repro.core.configs import SystemConfig
@@ -171,9 +171,7 @@ class TableCache:
             if existing is not None:
                 payload = _merge(existing, payload)
             wrapper = {"checksum": _checksum(payload), "payload": payload}
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            tmp.write_text(json.dumps(wrapper))
-            os.replace(tmp, path)
+            replace_text(path, json.dumps(wrapper))
             self.stores += 1
             obs_metrics.add("tables.cache_stores")
 

@@ -3,8 +3,10 @@
 Given a declarative traffic mix and a machine pool
 (:class:`~repro.api.plan.PlanRequest`), the planner:
 
-1. **fans out** every (item, machine, config) candidate into queries
-   and evaluates them as dense per-machine batches through the
+1. **fans out** every distinct (workload, size, threads) spec of the
+   mix over every (machine, config) of the pool — items that repeat a
+   spec share its predictions — and evaluates the queries as dense
+   per-machine batches through the
    :class:`~repro.api.facade.Predictor`'s executors — literally the
    :meth:`~repro.api.facade.Predictor.predict_many` path, so each
    candidate's prediction is bit-identical to a direct
@@ -12,8 +14,8 @@ Given a declarative traffic mix and a machine pool
    shares the run cache and the persistent table cache (a prewarmed
    deployment plans with **zero** table builds);
 2. **prices** each candidate: its busy-node load by Little's law
-   (``weight * time_s``) and its energy per arrival through
-   :class:`~repro.engine.energy.EnergyModel`;
+   (``weight * time_s``, per item) and its energy per arrival through
+   :class:`~repro.engine.energy.EnergyModel` (once per distinct spec);
 3. **solves** the placement: deterministic greedy best-fit-decreasing
    (hardest items first) followed by a bounded best-improvement local
    search, minimizing aggregate runtime load or aggregate energy under
@@ -64,6 +66,11 @@ _REL_TOL = 1e-9
 _MAX_SEARCH_ROUNDS = 256
 
 
+#: A mix item's ``(workload, size_gb, num_threads)``: items that share
+#: one share its predictions.
+_Spec = tuple[str, float, int]
+
+
 @dataclass(frozen=True)
 class _Candidate:
     """One evaluated (item, machine, config) placement option."""
@@ -102,82 +109,96 @@ class CapacityPlanner:
         self.energy_model = EnergyModel(energy_params)
 
     # -- evaluation -----------------------------------------------------------
-    def _candidates(self, request: PlanRequest) -> list[list[_Candidate]]:
-        """Per-item feasible candidates, evaluated as dense per-machine
-        batches (the bit-identity path)."""
-        # Machine-independent problems (unknown workload, a size the
-        # constructor rejects) are typed request errors, not "infeasible
-        # everywhere" — surface them before any fan-out.
-        for item in request.mix:
-            sized_workload(item.workload, item.size_gb)
-        pending: list[tuple[int, Query]] = []
-        for index, item in enumerate(request.mix):
+    def _priced_options(
+        self, request: PlanRequest, specs: Sequence[_Spec]
+    ) -> dict[_Spec, list[tuple[Query, PredictionResult, float]]]:
+        """Each distinct ``(workload, size_gb, num_threads)`` spec's
+        feasible ``(query, result, energy_j)`` options over the pool,
+        evaluated as dense per-machine batches (the bit-identity path)."""
+        kept: list[tuple[_Spec, Query]] = []
+        cells = []
+        for spec in specs:
+            workload, size_gb, num_threads = spec
             for entry in request.pool:
                 for config in entry.effective_configs():
-                    pending.append(
-                        (
-                            index,
-                            Query(
-                                workload=item.workload,
-                                size_gb=item.size_gb,
-                                config=config,
-                                num_threads=item.num_threads,
-                                machine=entry.machine,
-                            ),
-                        )
+                    query = Query(
+                        workload=workload,
+                        size_gb=size_gb,
+                        config=config,
+                        num_threads=num_threads,
+                        machine=entry.machine,
                     )
-        kept: list[tuple[int, Query]] = []
-        cells = []
-        for index, query in pending:
-            try:
-                cell = self.predictor.resolve(query)
-            except ValidationError:
-                # Machine-dependent rejection (unsupported memory mode,
-                # thread count over the machine's limit): this machine
-                # simply offers no such candidate.
-                continue
-            kept.append((index, query))
-            cells.append(cell)
+                    try:
+                        cell = self.predictor.resolve(query)
+                    except ValidationError:
+                        # Machine-dependent rejection (unsupported memory
+                        # mode, thread count over the machine's limit):
+                        # this machine simply offers no such candidate.
+                        continue
+                    kept.append((spec, query))
+                    cells.append(cell)
         by_machine: dict[str, list[int]] = {}
         for i, (_, query) in enumerate(kept):
             by_machine.setdefault(query.machine, []).append(i)
-        candidates_flat: list[_Candidate] = []
+        options: dict[_Spec, list[tuple[Query, PredictionResult, float]]] = {
+            spec: [] for spec in specs
+        }
         for machine, indices in by_machine.items():
             records = self.predictor.executor(machine).run_cells(
                 [cells[i] for i in indices]
             )
             for i, record in zip(indices, records):
-                item_index, query = kept[i]
+                spec, query = kept[i]
                 result = PredictionResult.from_record(query, record)
                 if result.error is not None or result.time_ns is None:
                     continue  # modelled infeasibility: not a candidate
-                item = request.mix[item_index]
-                load = item.weight * result.time_ns * 1e-9
                 estimate = self.energy_model.estimate_record(
                     sized_workload(query.workload, query.size_gb), record
                 )
                 assert estimate is not None  # feasible => run_result set
-                cost = (
-                    item.weight * estimate.total_j
-                    if request.objective == "energy"
-                    else load
-                )
-                candidates_flat.append(
+                options[spec].append((query, result, estimate.total_j))
+        return options
+
+    def _candidates(self, request: PlanRequest) -> list[list[_Candidate]]:
+        """Per-item feasible candidates, sorted by ``(cost, machine,
+        config)``.
+
+        Items that share a ``(workload, size_gb, num_threads)`` spec
+        share its predictions and energy estimates, which are priced
+        once; only the weight-dependent load and cost are per item.
+        Every item still gets its own :class:`_Candidate` objects (the
+        local search compares them by identity).
+        """
+        spec_of = [
+            (item.workload, item.size_gb, item.num_threads)
+            for item in request.mix
+        ]
+        specs = list(dict.fromkeys(spec_of))
+        # Machine-independent problems (unknown workload, a size the
+        # constructor rejects) are typed request errors, not "infeasible
+        # everywhere" — surface them before any fan-out.
+        for workload, size_gb, _ in specs:
+            sized_workload(workload, size_gb)
+        priced = self._priced_options(request, specs)
+        energy = request.objective == "energy"
+        per_item: list[list[_Candidate]] = []
+        for index, item in enumerate(request.mix):
+            options = []
+            for query, result, energy_j in priced[spec_of[index]]:
+                load = item.weight * result.time_ns * 1e-9  # type: ignore[operator]
+                options.append(
                     _Candidate(
-                        item_index=item_index,
+                        item_index=index,
                         query=query,
                         result=result,
                         load_nodes=load,
-                        energy_j=estimate.total_j,
-                        cost=cost,
+                        energy_j=energy_j,
+                        cost=item.weight * energy_j if energy else load,
                     )
                 )
-        per_item: list[list[_Candidate]] = [[] for _ in request.mix]
-        for candidate in candidates_flat:
-            per_item[candidate.item_index].append(candidate)
-        # Deterministic candidate order regardless of batch scheduling.
-        for options in per_item:
+            # Deterministic candidate order regardless of batch scheduling.
             options.sort(key=lambda c: (c.cost, c.machine, c.config))
+            per_item.append(options)
         return per_item
 
     # -- solving --------------------------------------------------------------
@@ -252,7 +273,9 @@ class CapacityPlanner:
                         continue
                     delta = candidate.cost - current.cost
                     if delta >= best_delta:
-                        continue
+                        # Options are sorted by ascending cost: no later
+                        # candidate of this item can improve either.
+                        break
                     free = remaining[candidate.machine]
                     if candidate.machine == current.machine:
                         free += current.load_nodes

@@ -17,6 +17,8 @@ experiment harness:
   simulated experiment is reproducible.
 * :mod:`repro.util.validation` — argument checking helpers with consistent
   error messages.
+* :mod:`repro.util.fileio` — atomic write-then-rename for the on-disk
+  caches that concurrent threads and processes share.
 """
 
 from repro.util.units import (

@@ -1,6 +1,7 @@
 """SweepExecutor tests: cache keys, memoization, strategies, stats."""
 
 import json
+import threading
 
 import pytest
 
@@ -111,6 +112,32 @@ class TestRunCache:
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
             RunCache(max_entries=0)
+
+    def test_concurrent_disk_writers_never_collide(self, machine, tmp_path):
+        """Two caches on one directory putting one key: each write goes
+        through a temporary file of its own, so neither loses it."""
+        record = ExperimentRunner(machine).run(_stream(2.0), HBM, 64)
+        start = threading.Barrier(2)
+        errors: list[BaseException] = []
+
+        def writer() -> None:
+            cache = RunCache(cache_dir=tmp_path)
+            try:
+                start.wait()
+                for _ in range(200):
+                    cache.put("deadbeef", record)
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert RunCache(cache_dir=tmp_path).get("deadbeef") == record
+        assert [p.name for p in tmp_path.iterdir()] == ["deadbeef.json"]
 
 
 class TestSweepExecutor:

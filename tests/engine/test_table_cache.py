@@ -23,6 +23,7 @@ These tests pin:
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -272,3 +273,36 @@ class TestExecutorWiring:
         assert ex is not None
         assert ex.table_cache is not None
         assert ex.table_cache.directory == tmp_path
+
+
+class TestConcurrentWriters:
+    def test_two_caches_storing_one_key_never_collide(self, tmp_path):
+        """Two writers (separate caches, one directory) each rename a
+        temporary file of their own: no writer loses its file to the
+        other, and the surviving entry always verifies."""
+        key = table_key(knl7210(), TRIO[0])
+        start = threading.Barrier(2)
+        errors: list[BaseException] = []
+
+        def writer(tag: str) -> None:
+            cache = TableCache(tmp_path)
+            try:
+                start.wait()
+                for i in range(200):
+                    cache.store(key, {tag: {str(i): float(i)}})
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        reader = TableCache(tmp_path)
+        payload = reader.load(key)
+        assert payload is not None
+        assert reader.corrupt == 0
+        assert set(payload) <= {"a", "b"}
+        assert [p.name for p in tmp_path.iterdir()] == [f"tables-{key}.json"]

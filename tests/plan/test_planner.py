@@ -7,7 +7,13 @@ layer does.
 
 from __future__ import annotations
 
+import json
+import math
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api.errors import InfeasiblePlanError, UnknownWorkloadError
 from repro.api.facade import Predictor
@@ -21,6 +27,7 @@ from repro.api.plan import (
 )
 from repro.api.types import Query
 from repro.plan import CapacityPlanner, check_plan, plan_request
+from tests.plan.reference_planner import ReferencePlanner, rescanning_local_search
 
 MIX = (
     TrafficItem(workload="dgemm", size_gb=12.0, num_threads=64, weight=0.001),
@@ -276,3 +283,174 @@ class TestInvariantTamper:
             "plan.objective_consistent" in v
             for v in check_plan(request, broken)
         )
+
+
+#: (workload, size_gb, num_threads) specs the property mixes repeat.
+#: GUPS at 256 threads exceeds the Xeon Max's thread limit, so that spec
+#: exercises machine-dependent rejection inside the fan-out.
+SPECS = (
+    ("dgemm", 12.0, 64),
+    ("minife", 20.0, 64),
+    ("gups", 8.0, 32),
+    ("graph500", 16.0, 64),
+    ("xsbench", 24.0, 96),
+    ("minife", 4.0, 128),
+    ("gups", 8.0, 256),
+)
+ROOMY = 1_000_000
+
+
+def _canonical(planner, request) -> str:
+    """The canonical JSON of a plan, or the typed error it raised."""
+    try:
+        return json.dumps(planner.plan(request).to_dict(), sort_keys=True)
+    except InfeasiblePlanError as exc:
+        return f"infeasible: {exc} {exc.details}"
+
+
+def _pool(kind: str, unconstrained_load: float) -> tuple[PoolEntry, ...]:
+    """``loose``: room for anything.  ``tight``: the Xeon Max (the cheap
+    machine) capped at 60% of the unconstrained load, so the plan must
+    split.  ``squeezed``: both machines capped (often infeasible)."""
+    cap = max(1, math.ceil(0.6 * unconstrained_load))
+    knl, xeon = {
+        "loose": (ROOMY, ROOMY),
+        "tight": (ROOMY, cap),
+        "squeezed": (cap, cap),
+    }[kind]
+    return (PoolEntry("knl7210", knl), PoolEntry("xeonmax9480", xeon))
+
+
+@st.composite
+def repeating_mixes(draw):
+    """Mixes over a few specs, each repeated with its own weights."""
+    specs = draw(st.lists(st.sampled_from(SPECS), min_size=1, max_size=4, unique=True))
+    return tuple(
+        TrafficItem(
+            *draw(st.sampled_from(specs)),
+            draw(st.floats(min_value=0.05, max_value=2.0)),
+        )
+        for _ in range(draw(st.integers(min_value=2, max_value=10)))
+    )
+
+
+class TestDeduplicatedFanOut:
+    """Pricing each distinct spec once changes no plan."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        mix=repeating_mixes(),
+        objective=st.sampled_from(("runtime", "energy")),
+        pool_kind=st.sampled_from(("loose", "tight", "squeezed")),
+    )
+    def test_plans_match_the_per_item_reference(
+        self, predictor, mix, objective, pool_kind
+    ):
+        planner = CapacityPlanner(predictor)
+        reference = ReferencePlanner(predictor)
+        loose = PlanRequest(mix=mix, pool=_pool("loose", 0.0), objective=objective)
+        try:
+            unconstrained = reference.plan(loose)
+        except InfeasiblePlanError:
+            # Some item has no candidate anywhere: both must say so.
+            assert _canonical(planner, loose) == _canonical(reference, loose)
+            return
+        load = sum(a.load_nodes for a in unconstrained.assignments)
+        request = PlanRequest(mix=mix, pool=_pool(pool_kind, load), objective=objective)
+        served = _canonical(planner, request)
+        assert served == _canonical(reference, request)
+        if served.startswith("infeasible"):
+            return
+        result = planner.plan(request)
+        assert check_plan(request, result) == []
+        for assignment in result.assignments:
+            direct = predictor.predict(
+                Query(
+                    workload=assignment.item.workload,
+                    size_gb=assignment.item.size_gb,
+                    config=assignment.config,
+                    num_threads=assignment.item.num_threads,
+                    machine=assignment.machine,
+                )
+            )
+            assert direct.time_ns == assignment.time_ns
+
+    def test_repeated_items_get_their_own_candidates(self, planner):
+        item = MIX[0]
+        request = PlanRequest(
+            mix=(item, TrafficItem(item.workload, item.size_gb, item.num_threads, 0.5)),
+            pool=POOL,
+        )
+        first, second = planner._candidates(request)
+        assert len(first) == len(second) > 0
+        for a, b in zip(first, second):
+            assert a is not b
+            assert (a.item_index, b.item_index) == (0, 1)
+            assert a.result.time_ns == b.result.time_ns
+            assert b.load_nodes == 0.5 * b.result.time_ns * 1e-9
+
+    def test_distinct_specs_are_resolved_once(self, predictor, monkeypatch):
+        calls = []
+        resolve = predictor.resolve
+        monkeypatch.setattr(
+            predictor, "resolve", lambda query: calls.append(query) or resolve(query)
+        )
+        request = PlanRequest(mix=MIX * 4, pool=POOL)
+        result = CapacityPlanner(predictor).plan(request)
+        assert len(calls) == request.candidate_count() // 4
+        assert len(result.assignments) == 4 * len(MIX)
+
+
+def _worst_fit_start(planner, request, per_item):
+    """A feasible but poor start: each item takes its most expensive
+    candidate that still fits."""
+    remaining = {entry.machine: float(entry.nodes) for entry in request.pool}
+    chosen = []
+    for options in per_item:
+        candidate = next(
+            c for c in reversed(options)
+            if planner._fits(c.load_nodes, remaining[c.machine])
+        )
+        remaining[candidate.machine] -= candidate.load_nodes
+        chosen.append(candidate)
+    return chosen
+
+
+class _WorstFitPlanner(CapacityPlanner):
+    _greedy = _worst_fit_start
+
+
+class _WorstFitReference(CapacityPlanner):
+    _greedy = _worst_fit_start
+    _local_search = rescanning_local_search
+
+
+class TestLocalSearchEarlyExit:
+    """Stopping an item's scan at its first non-improving candidate
+    returns what the full rescan returns.  (From the greedy's own output
+    no single move ever fits, so the search starts from a worst-fit
+    assignment, where moves do happen.)"""
+
+    @pytest.mark.parametrize("objective", ["runtime", "energy"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_rescanning_loop(self, predictor, seed, objective):
+        rng = random.Random(seed)
+        mix = tuple(
+            TrafficItem(*rng.choice(SPECS[:6]), round(rng.uniform(0.2, 2.0), 3))
+            for _ in range(24)
+        )
+        planner = CapacityPlanner(predictor)
+        unconstrained = planner.plan(
+            PlanRequest(mix=mix, pool=_pool("loose", 0.0), objective=objective)
+        )
+        load = sum(a.load_nodes for a in unconstrained.assignments)
+        request = PlanRequest(mix=mix, pool=_pool("tight", load), objective=objective)
+        per_item = planner._candidates(request)
+        start = _worst_fit_start(planner, request, per_item)
+        final = planner._local_search(request, per_item, list(start))
+        assert sum(a is not b for a, b in zip(start, final)) > 0
+        reference = rescanning_local_search(planner, request, per_item, list(start))
+        assert all(a is b for a, b in zip(final, reference))
+        served = _canonical(_WorstFitPlanner(predictor), request)
+        assert served == _canonical(_WorstFitReference(predictor), request)
+        assert not served.startswith("infeasible")

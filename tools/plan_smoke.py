@@ -13,7 +13,10 @@ End-to-end over a real deployment:
    solve of the same spec, or if serving the plan built **any** model
    table from scratch (the prewarmed deployment must plan with zero
    table builds — executor ``table_cache_misses`` stays 0; stores may
-   be nonzero because newly memoized points merge back to disk).
+   be nonzero because newly memoized points merge back to disk), or if
+   the planner priced a repeated spec more than once (the mix repeats
+   specs with other weights; executor ``hits + misses`` must grow by
+   the number of distinct candidates, not by ``candidate_count``).
 
 Usage::
 
@@ -37,6 +40,11 @@ SPEC = {
          "weight": 0.002},
         {"workload": "gups", "size_gb": 8.0, "num_threads": 32,
          "weight": 0.001},
+        # Repeated specs at other weights: priced once, placed apiece.
+        {"workload": "dgemm", "size_gb": 12.0, "num_threads": 64,
+         "weight": 0.003},
+        {"workload": "gups", "size_gb": 8.0, "num_threads": 32,
+         "weight": 0.0005},
     ],
     "pool": [
         {"machine": "knl7210", "nodes": 8},
@@ -44,6 +52,28 @@ SPEC = {
     ],
     "objective": "runtime",
 }
+
+
+def distinct_candidates(request, predictor) -> int:
+    """Resolvable (spec, machine, config) triples over the request's
+    distinct ``(workload, size_gb, num_threads)`` specs."""
+    from repro.api.errors import ValidationError
+    from repro.api.types import Query
+
+    specs = {(i.workload, i.size_gb, i.num_threads) for i in request.mix}
+    count = 0
+    for workload, size_gb, num_threads in specs:
+        for entry in request.pool:
+            for config in entry.effective_configs():
+                try:
+                    predictor.resolve(
+                        Query(workload, size_gb, config, num_threads,
+                              entry.machine)
+                    )
+                except ValidationError:
+                    continue
+                count += 1
+    return count
 
 
 def run_smoke(table_cache_dir: str) -> dict:
@@ -65,6 +95,7 @@ def run_smoke(table_cache_dir: str) -> dict:
     host, port = thread.start()
     try:
         with ServeClient(host, port) as client:
+            before = client.metrics()["executor"]
             served = client.plan(request)
             metrics = client.metrics()
     finally:
@@ -76,6 +107,7 @@ def run_smoke(table_cache_dir: str) -> dict:
     predictor = Predictor(table_cache_dir=table_cache_dir)
     try:
         direct = CapacityPlanner(predictor).plan(request)
+        distinct = distinct_candidates(request, predictor)
     finally:
         predictor.close()
     assert served == direct, (
@@ -93,6 +125,17 @@ def run_smoke(table_cache_dir: str) -> dict:
         "service never touched the table cache — the smoke is not "
         "exercising the prewarmed path"
     )
+    lookups = (executor["hits"] + executor["misses"]) - (
+        before["hits"] + before["misses"]
+    )
+    assert distinct < request.candidate_count(), (
+        "the smoke mix must repeat specs to exercise deduplication"
+    )
+    assert lookups == distinct, (
+        f"serving the plan made {lookups} run-cache lookups; expected one "
+        f"per distinct candidate ({distinct}), not one per item "
+        f"candidate ({request.candidate_count()})"
+    )
     return {
         "objective_value": served.objective_value,
         "assignments": [
@@ -103,6 +146,9 @@ def run_smoke(table_cache_dir: str) -> dict:
         "table_cache_hits": executor["table_cache_hits"],
         "table_cache_misses": executor["table_cache_misses"],
         "table_cache_stores": executor["table_cache_stores"],
+        "candidates": request.candidate_count(),
+        "distinct_candidates": distinct,
+        "run_cache_lookups": lookups,
     }
 
 
