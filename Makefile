@@ -60,10 +60,9 @@ bench-plan:
 
 # The sharding verification layer: hash-ring properties, router/cache
 # behaviour, fault injection (kill/stall/slow/drain), loadgen error
-# paths.  Includes quarantined timing-sensitive tests (marker `flaky`),
-# which plain `make test` excludes.
+# paths.
 serve-shard:
-	pytest tests/serve/ -q -m "flaky or not flaky"
+	pytest tests/serve/ -q
 
 # CI smoke for the prediction service: 200 concurrent queries, p99
 # bound, bit-identity and invariant audit (tools/serve_smoke.py).

@@ -108,7 +108,11 @@ class ServeClient:
         if not status_line:
             raise ConnectionError("server closed the connection")
         parts = status_line.split(None, 2)
-        if len(parts) < 2 or not parts[0].startswith(b"HTTP/1."):
+        if (
+            len(parts) < 2
+            or not parts[0].startswith(b"HTTP/1.")
+            or not parts[1].isdigit()
+        ):
             raise ApiError(f"malformed status line {status_line!r}")
         status = int(parts[1])
         length = 0
@@ -118,6 +122,8 @@ class ServeClient:
                 break
             name, sep, value = line.partition(b":")
             if sep and name.strip().lower() == b"content-length":
+                if not value.strip().isdigit():
+                    raise ApiError(f"malformed header {line!r}")
                 length = int(value.strip())
         body = self._reader.read(length) if length else b""
         if length and len(body) != length:
@@ -200,36 +206,39 @@ class ServeClient:
 
     # -- prediction --------------------------------------------------------------
     def _predict_call(
-        self, payload: dict[str, Any], deadline_s: float | None
+        self, payload: dict[str, Any], deadline_s: float | None, expected: int
     ) -> list[PredictionResult]:
         payload["schema_version"] = self.schema_version
         if deadline_s is not None:
             payload["deadline_s"] = deadline_s
         envelope = self._call("POST", "/v1/predict", payload)
         results = envelope.get("results")
-        if not isinstance(results, list):
-            raise ValidationError("response envelope missing 'results'")
-        return [PredictionResult.from_dict(r) for r in results]
+        if not isinstance(results, list) or len(results) != expected:
+            raise _malformed(f"expected {expected} 'results'")
+        try:
+            return [PredictionResult.from_dict(r) for r in results]
+        except ValidationError as exc:
+            raise _malformed(str(exc)) from exc
 
     def predict(
         self, query: Query, *, deadline_s: float | None = None
     ) -> PredictionResult:
         """Answer one query."""
-        return self._predict_call({"query": query.to_dict()}, deadline_s)[0]
+        return self._predict_call({"query": query.to_dict()}, deadline_s, 1)[0]
 
     def predict_many(
         self, queries: Sequence[Query], *, deadline_s: float | None = None
     ) -> list[PredictionResult]:
         """Answer a list of queries (results in submission order)."""
         return self._predict_call(
-            {"queries": [q.to_dict() for q in queries]}, deadline_s
+            {"queries": [q.to_dict() for q in queries]}, deadline_s, len(queries)
         )
 
     def predict_grid(
         self, grid: QueryGrid, *, deadline_s: float | None = None
     ) -> list[PredictionResult]:
         """Answer a dense grid (workload-major order)."""
-        return self._predict_call({"grid": grid.to_dict()}, deadline_s)
+        return self._predict_call({"grid": grid.to_dict()}, deadline_s, len(grid))
 
     # -- planning ----------------------------------------------------------------
     def plan(
@@ -245,5 +254,15 @@ class ServeClient:
         envelope = self._call("POST", "/v1/plan", payload)
         plan = envelope.get("plan")
         if not isinstance(plan, Mapping):
-            raise ValidationError("response envelope missing 'plan'")
-        return PlanResult.from_dict(plan)
+            raise _malformed("missing 'plan'")
+        try:
+            return PlanResult.from_dict(plan)
+        except ValidationError as exc:
+            raise _malformed(str(exc)) from exc
+
+
+def _malformed(problem: str) -> ApiError:
+    """A 200 whose body does not answer the request: a fault of the
+    server that sent it (an ``internal`` error, so routers fail over),
+    never of the request."""
+    return ApiError(f"malformed response envelope: {problem}")

@@ -20,14 +20,13 @@ is timed into the service registry's per-endpoint latency histogram
 from __future__ import annotations
 
 import asyncio
-import inspect
 import json
 import time
 from typing import Any
 
 from repro.api.envelope import error_envelope
 from repro.api.errors import ApiError, ValidationError
-from repro.serve.service import PredictionService
+from repro.serve.pipeline import RequestPipeline
 
 __all__ = ["HttpServer", "DEFAULT_PORT"]
 
@@ -43,11 +42,13 @@ class _BadRequest(Exception):
 
 
 class HttpServer:
-    """Asyncio streams server wrapping one :class:`PredictionService`."""
+    """Asyncio streams server wrapping one request pipeline (a
+    :class:`~repro.serve.service.PredictionService` or a
+    :class:`~repro.serve.shard.ShardRouter`)."""
 
     def __init__(
         self,
-        service: PredictionService,
+        service: RequestPipeline,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
     ) -> None:
@@ -130,7 +131,7 @@ class HttpServer:
                 await self._write_response(
                     writer,
                     400,
-                    _error_envelope("validation", str(exc)),
+                    error_envelope("validation", str(exc)),
                     keep_alive=False,
                 )
             except (ConnectionResetError, BrokenPipeError):
@@ -195,7 +196,7 @@ class HttpServer:
             payload = error_envelope(exc)
         except Exception as exc:  # pragma: no cover - defensive
             status = 500
-            payload = _error_envelope("internal", f"{type(exc).__name__}: {exc}")
+            payload = error_envelope("internal", f"{type(exc).__name__}: {exc}")
         self.service.metrics.observe(
             "serve.request_ms",
             (time.perf_counter() - started) * 1e3,
@@ -211,26 +212,20 @@ class HttpServer:
     ) -> tuple[int, dict[str, Any]]:
         if endpoint == "/healthz":
             if method != "GET":
-                return 405, _error_envelope("validation", "use GET /healthz")
+                return 405, error_envelope("validation", "use GET /healthz")
             health = self.service.healthz()
             return (200 if self.service.running else 503), health
         if endpoint == "/metrics":
             if method != "GET":
-                return 405, _error_envelope("validation", "use GET /metrics")
-            snapshot = self.service.metrics_snapshot()
-            # The shard router's snapshot scatters to its replicas off
-            # the event loop, so it is a coroutine; the plain service
-            # answers synchronously.
-            if inspect.isawaitable(snapshot):
-                snapshot = await snapshot
-            return 200, snapshot
+                return 405, error_envelope("validation", "use GET /metrics")
+            return 200, await self.service.metrics_document()
         if endpoint == "/version":
             if method != "GET":
-                return 405, _error_envelope("validation", "use GET /version")
+                return 405, error_envelope("validation", "use GET /version")
             return 200, self.service.version()
         if endpoint == "/v1/predict":
             if method != "POST":
-                return 405, _error_envelope(
+                return 405, error_envelope(
                     "validation", "use POST /v1/predict"
                 )
             try:
@@ -240,13 +235,13 @@ class HttpServer:
             return 200, await self.service.handle_predict(payload)
         if endpoint == "/v1/plan":
             if method != "POST":
-                return 405, _error_envelope("validation", "use POST /v1/plan")
+                return 405, error_envelope("validation", "use POST /v1/plan")
             try:
                 payload = json.loads(body.decode("utf-8")) if body else {}
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ValidationError(f"request body is not JSON: {exc}") from exc
             return 200, await self.service.handle_plan(payload)
-        return 404, _error_envelope("not_found", f"no route {endpoint!r}")
+        return 404, error_envelope("not_found", f"no route {endpoint!r}")
 
     # -- responses --------------------------------------------------------------
     async def _write_response(
@@ -282,7 +277,3 @@ _REASONS = {
     504: "Gateway Timeout",
 }
 
-
-def _error_envelope(code: str, message: str) -> dict[str, Any]:
-    # Thin shim kept for callers predating repro.api.envelope.
-    return error_envelope(code, message)

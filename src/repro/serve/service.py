@@ -1,22 +1,16 @@
-"""The prediction service: admission, caching, coalescing, lifecycle.
+"""The prediction service: coalesced evaluation on a worker pool.
 
 :class:`PredictionService` is the protocol-independent core behind the
-HTTP layer (:mod:`repro.serve.http`): it owns the TTL result cache, the
-coalescer, the worker pool and the per-service metrics registry, and it
-implements the request flow:
+HTTP layer (:mod:`repro.serve.http`).  The request front half — parsing,
+deadlines, admission, keying, the TTL result cache and the envelopes —
+is the shared :class:`~repro.serve.pipeline.RequestPipeline`; this class
+supplies the back half:
 
-1. schema negotiation (:func:`~repro.api.types.check_schema_version`);
-2. parsing — a request carries exactly one of ``query`` (one point),
-   ``queries`` (a list) or ``grid`` (a dense
-   :class:`~repro.api.types.QueryGrid`);
-3. per-query resolution + content-addressed keying at the boundary
-   (typed :mod:`repro.api.errors` surface here, never mid-batch);
-4. TTL-cache lookups — hits are answered on the event loop; **each**
-   constituent query counts one hit or miss, a grid of N is N lookups;
-5. misses go to the coalescer (or, in the naive baseline configuration,
-   one evaluation call per request) under a per-request deadline whose
-   expiry cancels still-queued work;
-6. results are cached and returned in submission order.
+* cache misses go to the coalescer (or, in the naive ``coalesce=False``
+  baseline, one evaluation call per query) under the per-request
+  deadline, whose expiry cancels still-queued work;
+* a ``/v1/plan`` solve runs on a pool thread through the
+  :class:`~repro.plan.planner.CapacityPlanner`.
 
 Evaluation happens on pool threads through **thread-local**
 :class:`~repro.api.facade.Predictor` instances — the batch evaluator
@@ -31,29 +25,18 @@ import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Sequence
 
 import repro
 from repro.api.envelope import success_envelope
-from repro.api.errors import (
-    CapacityError,
-    DeadlineExceededError,
-    ValidationError,
-)
+from repro.api.errors import ValidationError
 from repro.api.facade import Predictor
 from repro.api.plan import PlanRequest, PlanResult
-from repro.api.types import (
-    MACHINE_NAMES,
-    PredictionResult,
-    Query,
-    QueryGrid,
-    check_schema_version,
-)
+from repro.api.types import MACHINE_NAMES, PredictionResult, Query
 from repro.plan.planner import CapacityPlanner
-from repro.obs.metrics import MetricsRegistry
-from repro.serve.cache import TTLCache
 from repro.serve.coalescer import Coalescer
+from repro.serve.pipeline import RequestPipeline, sum_counters
 
 __all__ = ["ServiceConfig", "PredictionService"]
 
@@ -117,25 +100,17 @@ class ServiceConfig:
             )
 
 
-class PredictionService:
+class PredictionService(RequestPipeline):
     """The coalescing what-if prediction service (protocol-independent)."""
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config if config is not None else ServiceConfig()
-        self.metrics = MetricsRegistry()
-        self.cache: TTLCache[PredictionResult] = TTLCache(
-            self.config.cache_entries, self.config.cache_ttl_s
-        )
-        # Resolution/keying only — never evaluates, so event-loop-only use
-        # is safe alongside the pool threads' evaluating predictors.
-        self._resolver = Predictor(machine=self.config.machine)
+        super().__init__(self.config, self.config.cache_entries)
         self._tls = threading.local()
         self._predictors: list[Predictor] = []
         self._predictors_lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
         self._coalescer: Coalescer | None = None
-        self._state = "created"
-        self._started_monotonic: float | None = None
         #: Test seam for deterministic fault injection
         #: (:mod:`repro.serve.faults`): called on the worker thread
         #: before every evaluation.  ``None`` (production) costs one
@@ -143,20 +118,6 @@ class PredictionService:
         self.fault_hook: "Callable[[], None] | None" = None
 
     # -- lifecycle ------------------------------------------------------------
-    @property
-    def state(self) -> str:
-        """``created`` -> ``running`` -> ``draining`` -> ``stopped``."""
-        return self._state
-
-    @property
-    def running(self) -> bool:
-        return self._state == "running"
-
-    def uptime_s(self) -> float:
-        if self._started_monotonic is None:
-            return 0.0
-        return time.monotonic() - self._started_monotonic
-
     async def start(self) -> None:
         """Bring up the worker pool and the coalescer dispatchers."""
         if self._state not in ("created", "stopped"):
@@ -232,155 +193,41 @@ class PredictionService:
             hook()
         return self._worker_predictor().predict(query)
 
-    # -- request handling (event loop) ----------------------------------------
-    @staticmethod
-    def parse_queries(payload: Mapping[str, Any]) -> list[Query]:
-        """Queries of one request body (exactly one form present)."""
-        if not isinstance(payload, Mapping):
-            raise ValidationError("request body must be a JSON object")
-        check_schema_version(payload.get("schema_version"))
-        forms = [k for k in ("query", "queries", "grid") if k in payload]
-        if len(forms) != 1:
-            raise ValidationError(
-                "request must carry exactly one of 'query', 'queries' or "
-                f"'grid' (got {forms or 'none'})"
-            )
-        unknown = sorted(
-            set(payload) - {"schema_version", "deadline_s", forms[0]}
-        )
-        if unknown:
-            raise ValidationError(f"unknown field(s): {', '.join(unknown)}")
-        if "query" in payload:
-            return [Query.from_dict(payload["query"])]
-        if "queries" in payload:
-            entries = payload["queries"]
-            if not isinstance(entries, Sequence) or isinstance(
-                entries, (str, bytes)
-            ):
-                raise ValidationError("'queries' must be a list")
-            if not entries:
-                raise ValidationError("'queries' must not be empty")
-            return [Query.from_dict(q) for q in entries]
-        return list(QueryGrid.from_dict(payload["grid"]).expand())
-
-    def _deadline_s(self, payload: Mapping[str, Any]) -> float:
-        value = payload.get("deadline_s", self.config.default_deadline_s)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"deadline_s must be a number, got {value!r}")
-        if value <= 0:
-            raise ValidationError(f"deadline_s must be positive, got {value}")
-        return float(value)
-
-    async def handle_predict(self, payload: Mapping[str, Any]) -> dict[str, Any]:
-        """Answer one ``/v1/predict`` body with the versioned envelope."""
-        started = time.perf_counter()
-        queries = self.parse_queries(payload)
-        deadline_s = self._deadline_s(payload)
-        if len(queries) > self.config.max_request_queries:
-            self.metrics.add("serve.rejected")
-            raise CapacityError(
-                f"request expands to {len(queries)} queries; the service "
-                f"caps requests at {self.config.max_request_queries}",
-                details={"max_request_queries": self.config.max_request_queries},
-            )
-        results, cached = await self._predict_queries(queries, deadline_s)
-        self.metrics.add("serve.queries", float(len(queries)))
-        self.metrics.set_gauge("serve.cache_hit_rate", self.cache.hit_rate)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        return success_envelope(
-            results=[r.to_dict() for r in results],
-            meta={
-                "queries": len(queries),
-                "cached": cached,
-                "computed": len(queries) - cached,
-                "elapsed_ms": elapsed_ms,
-            },
-        )
-
-    async def _predict_queries(
-        self, queries: Sequence[Query], deadline_s: float
-    ) -> tuple[list[PredictionResult], int]:
-        if self._state != "running":
-            raise CapacityError(f"service is {self._state}")
-        assert self._coalescer is not None and self._pool is not None
+    # -- the back half (event loop) -------------------------------------------
+    def _keys(self, queries: Sequence[Query]) -> list[str]:
         # Content-addressed keys exist to serve the result cache; with the
         # cache disabled (the naive baseline) computing them would charge
         # that configuration for work it cannot use.
         if self.cache.enabled:
-            keys = [self._resolver.cache_key(q) for q in queries]
+            return super()._keys(queries)
+        if self.config.coalesce:
+            # Still validate at the boundary: one malformed query must
+            # not fail the shared batch it would be coalesced into.
+            for query in queries:
+                self._resolver.resolve(query)
+        return [""] * len(queries)
+
+    async def _answer_misses(
+        self, queries: list[Query], keys: list[str], deadline_s: float
+    ) -> Sequence[PredictionResult]:
+        assert self._coalescer is not None and self._pool is not None
+        if self.config.coalesce:
+            futures = [self._coalescer.submit(q, k) for q, k in zip(queries, keys)]
         else:
-            if self.config.coalesce:
-                # Still validate at the boundary: one malformed query must
-                # not fail the shared batch it would be coalesced into.
-                for query in queries:
-                    self._resolver.resolve(query)
-            keys = [""] * len(queries)
-        results: list[PredictionResult | None] = [None] * len(queries)
-        miss_indices: list[int] = []
-        for i, key in enumerate(keys):
-            if self.cache.enabled:
-                cached = self.cache.get(key)
-                if cached is not None:
-                    results[i] = cached
-                    continue
-            miss_indices.append(i)
-        hits = len(queries) - len(miss_indices)
-        self.metrics.add("serve.cache_hits", float(hits))
-        self.metrics.add("serve.cache_misses", float(len(miss_indices)))
-        if miss_indices:
             loop = asyncio.get_running_loop()
-            if self.config.coalesce:
-                futures = [
-                    self._coalescer.submit(queries[i], keys[i])
-                    for i in miss_indices
-                ]
-            else:
-                futures = [
-                    loop.run_in_executor(
-                        self._pool, self._evaluate_one, queries[i]
-                    )
-                    for i in miss_indices
-                ]
-            # One future per miss; the single-query request is the hot
-            # path, so skip the gather layer for it.
-            awaitable = (
-                futures[0] if len(futures) == 1 else asyncio.gather(*futures)
-            )
-            try:
-                computed = await asyncio.wait_for(awaitable, timeout=deadline_s)
-            except asyncio.TimeoutError:
-                for future in futures:
-                    future.cancel()
-                self.metrics.add("serve.deadline_exceeded")
-                raise DeadlineExceededError(
-                    f"deadline of {deadline_s:g}s exceeded "
-                    f"({len(miss_indices)} queries pending)",
-                    details={"deadline_s": deadline_s},
-                ) from None
-            if len(futures) == 1:
-                computed = [computed]
-            for i, result in zip(miss_indices, computed):
-                results[i] = result
-                self.cache.put(keys[i], result)
-        assert all(r is not None for r in results)
-        return results, hits  # type: ignore[return-value]
+            futures = [
+                loop.run_in_executor(self._pool, self._evaluate_one, q)
+                for q in queries
+            ]
+        pending = f"{len(futures)} queries pending"
+        # The single-query request is the hot path: skip the gather layer.
+        if len(futures) == 1:
+            return [await self._within_deadline(futures[0], deadline_s, pending)]
+        return await self._within_deadline(
+            asyncio.gather(*futures), deadline_s, pending
+        )
 
-    # -- capacity planning (event loop + pool threads) --------------------------
-    @staticmethod
-    def parse_plan(payload: Mapping[str, Any]) -> PlanRequest:
-        """The :class:`~repro.api.plan.PlanRequest` of one ``/v1/plan``
-        body (``{"plan": {...}}`` plus the shared envelope fields)."""
-        if not isinstance(payload, Mapping):
-            raise ValidationError("request body must be a JSON object")
-        check_schema_version(payload.get("schema_version"))
-        if "plan" not in payload:
-            raise ValidationError("request must carry a 'plan' object")
-        unknown = sorted(set(payload) - {"schema_version", "deadline_s", "plan"})
-        if unknown:
-            raise ValidationError(f"unknown field(s): {', '.join(unknown)}")
-        return PlanRequest.from_dict(payload["plan"])
-
-    def _solve_plan(self, request: PlanRequest) -> PlanResult:
+    def _plan_on_worker(self, request: PlanRequest) -> PlanResult:
         """One plan solve on a pool thread, over that thread's predictor
         (so candidate evaluation shares the run/table caches every
         ``/v1/predict`` batch already warmed)."""
@@ -389,43 +236,15 @@ class PredictionService:
             hook()
         return CapacityPlanner(self._worker_predictor()).plan(request)
 
-    async def handle_plan(self, payload: Mapping[str, Any]) -> dict[str, Any]:
-        """Answer one ``/v1/plan`` body with the versioned envelope."""
-        started = time.perf_counter()
-        request = self.parse_plan(payload)
-        deadline_s = self._deadline_s(payload)
-        if self._state != "running":
-            raise CapacityError(f"service is {self._state}")
+    async def _solve_plan(
+        self, request: PlanRequest, deadline_s: float
+    ) -> PlanResult:
         assert self._pool is not None
-        candidates = request.candidate_count()
-        if candidates > self.config.max_request_queries:
-            self.metrics.add("serve.rejected")
-            raise CapacityError(
-                f"plan expands to {candidates} candidate queries; the "
-                f"service caps requests at {self.config.max_request_queries}",
-                details={"max_request_queries": self.config.max_request_queries},
-            )
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(self._pool, self._solve_plan, request)
-        try:
-            result = await asyncio.wait_for(future, timeout=deadline_s)
-        except asyncio.TimeoutError:
-            self.metrics.add("serve.deadline_exceeded")
-            raise DeadlineExceededError(
-                f"deadline of {deadline_s:g}s exceeded (plan still solving)",
-                details={"deadline_s": deadline_s},
-            ) from None
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        self.metrics.add("serve.plans")
-        self.metrics.observe("serve.plan_ms", elapsed_ms)
-        return success_envelope(
-            plan=result.to_dict(),
-            meta={
-                "items": len(request.mix),
-                "pool": len(request.pool),
-                "candidates": candidates,
-                "elapsed_ms": elapsed_ms,
-            },
+        future = asyncio.get_running_loop().run_in_executor(
+            self._pool, self._plan_on_worker, request
+        )
+        return await self._within_deadline(
+            future, deadline_s, "plan still solving"
         )
 
     # -- introspection endpoints ------------------------------------------------
@@ -458,21 +277,7 @@ class PredictionService:
         service created (resolver included — it never evaluates, but its
         counters prove that)."""
         predictors = self._tracked_predictors() + [self._resolver]
-        stats = [p.stats() for p in predictors]
-        total = {
-            "hits": sum(s.hits for s in stats),
-            "misses": sum(s.misses for s in stats),
-            "disk_hits": sum(s.disk_hits for s in stats),
-            "executed": sum(s.executed for s in stats),
-            "batches": sum(s.batches for s in stats),
-            "batched_cells": sum(s.batched_cells for s in stats),
-            "table_cache_hits": sum(s.table_cache_hits for s in stats),
-            "table_cache_misses": sum(s.table_cache_misses for s in stats),
-            "table_cache_stores": sum(s.table_cache_stores for s in stats),
-        }
-        lookups = total["hits"] + total["misses"]
-        total["hit_rate"] = total["hits"] / lookups if lookups else 0.0
-        return total
+        return sum_counters(asdict(p.stats()) for p in predictors)
 
     def metrics_snapshot(self) -> dict[str, Any]:
         """The ``/metrics`` document: service registry + cache +
@@ -497,3 +302,6 @@ class PredictionService:
             },
             executor=self.executor_stats(),
         )
+
+    async def metrics_document(self) -> dict[str, Any]:
+        return self.metrics_snapshot()

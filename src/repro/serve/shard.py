@@ -15,25 +15,25 @@ machine's tables warms every other replica's cold start.
 Data planes — two, both deriving the same ring:
 
 * :class:`ShardRouter` — a single HTTP entry point speaking the exact
-  ``repro.serve`` wire protocol (it is hosted by the unmodified
-  :class:`~repro.serve.http.HttpServer` via duck typing).  It keeps a
-  router-level result cache as a shared tier above the per-replica
-  caches, splits each request's misses into per-owner groups, forwards
-  the groups concurrently on a thread pool, and fails over along the
-  ring's preference order when a replica dies mid-request.
+  ``repro.serve`` wire protocol.  It is the service's request pipeline
+  (:class:`~repro.serve.pipeline.RequestPipeline`: parsing, deadlines,
+  admission, a router-level result cache above the per-replica caches,
+  envelopes) with a forwarding back half: each request's misses are
+  split into per-owner groups and forwarded concurrently on a thread
+  pool, a plan goes whole to the owner of its canonical key.
 * :class:`ShardClient` — client-side routing for benchmark-scale
   concurrency: each client thread hashes its own keys and talks to the
   owning replica directly, so the router is not a serialization point.
-  Both planes derive the identical preference order from the ring, so
-  they fail over to the same secondary.
 
-Failure semantics (proved by ``tests/serve/test_faults.py``):
+Both planes fail over through one loop, :func:`failover`, along the
+ring's preference order.  Its semantics (proved by
+``tests/serve/test_faults.py``):
 
 * deterministic request errors (validation, unknown workload,
-  deadline) are **never** retried — they are properties of the request,
-  not the replica;
-* transport failures and poisoned answers fail over to the next ring
-  preference and charge the replica's health streak
+  deadline, the planning taxonomy) are **never** retried — they are
+  properties of the request, not the replica;
+* transport failures, poisoned answers and malformed answers fail over
+  to the next ring preference and charge the replica's health streak
   (:class:`~repro.serve.registry.ReplicaSet`);
 * :class:`~repro.api.errors.CapacityError` (a 429) spills to the next
   preference *without* a health penalty — the replica is alive, just
@@ -63,7 +63,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 import repro
 from repro.api.envelope import success_envelope
@@ -76,15 +76,14 @@ from repro.api.errors import (
     UnknownWorkloadError,
     ValidationError,
 )
-from repro.api.facade import Predictor
 from repro.api.plan import PlanRequest, PlanResult
 from repro.api.types import PredictionResult, Query
 from repro.obs.metrics import MetricsRegistry, merge_exports
-from repro.serve.cache import TTLCache
 from repro.serve.client import ServeClient
 from repro.serve.faults import FaultInjector
 from repro.serve.registry import ReplicaSet
-from repro.serve.ring import DEFAULT_VNODES
+from repro.serve.pipeline import RequestPipeline, sum_counters
+from repro.serve.ring import HashRing
 from repro.serve.service import PredictionService, ServiceConfig
 from repro.serve.threadserver import ServerThread
 
@@ -110,6 +109,16 @@ _FATAL_ERRORS = (
     PlanError,
 )
 
+#: What tearing down a router thread or a replica can raise: a loop
+#: that is already gone, a process that will not die in time.
+_TEARDOWN_ERRORS = (RuntimeError, OSError, subprocess.TimeoutExpired)
+
+T = TypeVar("T")
+
+#: Router forwarding pool size (each in-flight replica group holds one
+#: thread for the duration of its round trip).
+_ROUTER_WORKERS = 8
+
 
 @dataclass(frozen=True)
 class ShardConfig:
@@ -121,41 +130,33 @@ class ShardConfig:
     #: or ``process`` (one ``repro serve`` subprocess per replica).
     backend: str = "thread"
     #: Per-replica service configuration (every replica gets a copy with
-    #: its own ``replica_id``).
+    #: its own ``replica_id``).  Unless it names a ``table_cache_dir``,
+    #: the replicas share one temporary table-cache directory.
     service: ServiceConfig = field(default_factory=ServiceConfig)
     #: Router bind address (port 0 = ephemeral).
     host: str = "127.0.0.1"
     port: int = 0
-    #: Ring layout (virtual nodes per replica).
-    vnodes: int = DEFAULT_VNODES
     #: Consecutive forwarding failures before a replica is marked down.
     fail_after: int = 2
     #: Active ``/healthz`` probe period; ``0`` disables active probing
     #: (passive failure detection still runs).
     probe_interval_s: float = 0.5
-    #: Router forwarding pool size (each in-flight replica group holds
-    #: one thread for the duration of its round trip).
-    router_workers: int = 8
     #: Shared router-tier result cache (a second tier above the
-    #: per-replica caches; 0 disables).
+    #: per-replica caches, with the replicas' ``cache_ttl_s``; 0
+    #: disables).
     router_cache_entries: int = 8192
-    router_cache_ttl_s: float | None = 300.0
     #: Maximum replicas tried per group (ring preference order).
     max_attempts: int = 3
     #: Per-attempt time budget; ``None`` spends the full remaining
     #: request deadline on the first replica (no failover on stalls).
     attempt_timeout_s: float | None = None
-    #: Share one persistent table-cache directory across all replicas
-    #: when the service config does not already name one.
-    share_table_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.backend not in ("thread", "process"):
             raise ValidationError(
                 f"backend must be 'thread' or 'process', got {self.backend!r}"
             )
-        for name in ("replicas", "vnodes", "fail_after", "router_workers",
-                     "max_attempts"):
+        for name in ("replicas", "fail_after", "max_attempts"):
             if getattr(self, name) < 1:
                 raise ValidationError(
                     f"{name} must be >= 1, got {getattr(self, name)}"
@@ -176,53 +177,154 @@ class ShardConfig:
             )
 
 
-class ShardRouter:
-    """Routing front end with the PredictionService protocol surface.
+class ReplicaConnections:
+    """One owner thread's clients to the members of a replica set.
 
-    Duck-types what :class:`~repro.serve.http.HttpServer` and
-    :class:`~repro.serve.threadserver.ServerThread` need — ``metrics``,
-    ``running``, async ``start``/``stop``, ``handle_predict``,
-    ``handle_plan``, ``healthz``/``version``/``metrics_snapshot`` — so
-    the whole HTTP layer is reused unchanged.
+    Generation-keyed, so a restarted replica never inherits a socket to
+    its dead twin.  Not thread-safe: the router keeps one per pool
+    thread, a :class:`ShardClient` owns one.
     """
 
+    def __init__(self, replicas: ReplicaSet, timeout: float) -> None:
+        self.replicas = replicas
+        self.timeout = timeout
+        self._clients: dict[str, tuple[int, ServeClient]] = {}
+
+    def get(self, replica_id: str) -> ServeClient:
+        """The client to ``replica_id`` (``KeyError`` once deregistered)."""
+        generation = self.replicas.generation(replica_id)
+        entry = self._clients.get(replica_id)
+        if entry is None or entry[0] != generation:
+            if entry is not None:
+                entry[1].close()
+            host, port = self.replicas.address(replica_id)
+            entry = (generation, ServeClient(host, port, timeout=self.timeout))
+            self._clients[replica_id] = entry
+        return entry[1]
+
+    def drop(self, replica_id: str) -> None:
+        entry = self._clients.pop(replica_id, None)
+        if entry is not None:
+            entry[1].close()
+
+    def close(self) -> None:
+        for _, client in self._clients.values():
+            client.close()
+        self._clients.clear()
+
+
+def failover(
+    connections: ReplicaConnections,
+    preferences: Sequence[str],
+    call: Callable[..., T],
+    argument: Any,
+    *,
+    deadline_at: float | None = None,
+    attempt_timeout_s: float | None = None,
+    metrics: MetricsRegistry | None = None,
+) -> T:
+    """``call(client, argument, deadline_s=...)`` on the first replica of
+    ``preferences`` that answers — the one failover loop of both data
+    planes.
+
+    Request-side errors (:data:`_FATAL_ERRORS`) are re-raised at once; a
+    :class:`~repro.api.errors.CapacityError` spills to the next replica
+    without a health mark; a transport error or a malformed or poisoned
+    answer (``OSError``/``ApiError``) drops the connection, charges the
+    replica's health and fails over.  With ``deadline_at`` (a
+    ``time.monotonic()`` instant) each attempt gets the remaining budget,
+    capped at ``attempt_timeout_s``, and expiry is a 504.  ``metrics``
+    (the router's registry) counts ``router.*`` events per replica.
+    """
+
+    def count(name: str, replica_id: str | None = None) -> None:
+        if metrics is not None:
+            labels = None if replica_id is None else {"replica": replica_id}
+            metrics.add(f"router.{name}", labels=labels)
+
+    replicas = connections.replicas
+    last_error: Exception | None = None
+    remaining: float | None = None
+    for replica_id in preferences:
+        if deadline_at is not None:
+            remaining = deadline_at - time.monotonic()
+            if remaining <= 0:
+                break
+        try:
+            client = connections.get(replica_id)
+        except KeyError:  # deregistered while we routed
+            continue
+        if remaining is None:
+            client.set_timeout(connections.timeout)
+        elif attempt_timeout_s is None:
+            client.set_timeout(remaining + 0.5)
+        else:
+            client.set_timeout(min(remaining, attempt_timeout_s) + 0.5)
+        try:
+            answer = call(client, argument, deadline_s=remaining)
+        except _FATAL_ERRORS:
+            raise
+        except CapacityError as exc:
+            last_error = exc
+            count("replica_busy", replica_id)
+            continue
+        except (OSError, ApiError) as exc:
+            last_error = exc
+            connections.drop(replica_id)
+            replicas.mark_failure(replica_id)
+            count("failovers", replica_id)
+            continue
+        replicas.mark_success(replica_id)
+        count("forwards", replica_id)
+        return answer
+    if deadline_at is not None and time.monotonic() >= deadline_at:
+        count("deadline_exceeded")
+        raise DeadlineExceededError(
+            f"deadline exceeded while failing over (tried {list(preferences)})",
+        ) from last_error
+    if isinstance(last_error, ApiError):
+        raise last_error
+    count("rejected")
+    raise CapacityError(
+        f"no replica answered (tried {list(preferences)})",
+    ) from last_error
+
+
+class ShardRouter(RequestPipeline):
+    """Routing front end with the PredictionService protocol surface.
+
+    Shares the service's request pipeline and duck-types the rest of
+    what :class:`~repro.serve.http.HttpServer` and
+    :class:`~repro.serve.threadserver.ServerThread` need — async
+    ``start``/``stop`` and ``healthz``/``version``/``metrics_document``
+    — so the whole HTTP layer is reused unchanged.  Its back half
+    forwards: cache misses go to their ring owners, a plan to the owner
+    of its canonical key.
+    """
+
+    _prefix = "router"
+    _role = "router"
+    # Let a replica's own 504 arrive before the router gives up.
+    _deadline_grace_s = 1.0
+    _deadline_where = " at the router"
+    _plan_histogram = None
+
     def __init__(self, config: ShardConfig, replicas: ReplicaSet) -> None:
+        super().__init__(config.service, config.router_cache_entries)
         self.config = config
         self.replicas = replicas
-        self.metrics = MetricsRegistry()
-        self.cache: TTLCache[PredictionResult] = TTLCache(
-            config.router_cache_entries, config.router_cache_ttl_s
-        )
-        # Keying only (never evaluates) — event-loop use is safe.
-        self._resolver = Predictor(machine=config.service.machine)
         self._pool: ThreadPoolExecutor | None = None
         self._probe_task: asyncio.Task[None] | None = None
         self._tls = threading.local()
-        self._all_clients: list[ServeClient] = []
-        self._clients_lock = threading.Lock()
-        self._state = "created"
-        self._started_monotonic: float | None = None
+        self._connection_sets: list[ReplicaConnections] = []
+        self._connections_lock = threading.Lock()
 
     # -- lifecycle ------------------------------------------------------------
-    @property
-    def state(self) -> str:
-        return self._state
-
-    @property
-    def running(self) -> bool:
-        return self._state == "running"
-
-    def uptime_s(self) -> float:
-        if self._started_monotonic is None:
-            return 0.0
-        return time.monotonic() - self._started_monotonic
-
     async def start(self) -> None:
         if self._state not in ("created", "stopped"):
             raise RuntimeError(f"cannot start a router in state {self._state}")
         self._pool = ThreadPoolExecutor(
-            max_workers=self.config.router_workers,
-            thread_name_prefix="shard-route",
+            max_workers=_ROUTER_WORKERS, thread_name_prefix="shard-route"
         )
         self._state = "running"
         self._started_monotonic = time.monotonic()
@@ -252,10 +354,10 @@ class ShardRouter:
                 None, lambda: pool.shutdown(wait=drain)
             )
             self._pool = None
-        with self._clients_lock:
-            clients, self._all_clients = self._all_clients, []
-        for client in clients:
-            client.close()
+        with self._connections_lock:
+            sets, self._connection_sets = self._connection_sets, []
+        for connections in sets:
+            connections.close()
         self._state = "stopped"
 
     # -- health probing ---------------------------------------------------------
@@ -285,218 +387,37 @@ class ShardRouter:
         try:
             with ServeClient(host, port, timeout=timeout) as client:
                 return client.healthz().get("status") == "ok"
-        except Exception:
+        except (OSError, ApiError):
             return False
 
-    # -- per-thread replica clients ---------------------------------------------
-    def _client(self, replica_id: str) -> ServeClient:
-        """This pool thread's client to ``replica_id`` (generation-keyed
-        so a restarted replica never inherits a socket to its dead
-        twin)."""
-        cache: dict[str, tuple[int, ServeClient]] | None = getattr(
-            self._tls, "clients", None
-        )
-        if cache is None:
-            cache = self._tls.clients = {}
-        generation = self.replicas.generation(replica_id)  # KeyError if gone
-        entry = cache.get(replica_id)
-        if entry is None or entry[0] != generation:
-            if entry is not None:
-                entry[1].close()
-            host, port = self.replicas.address(replica_id)
-            client = ServeClient(host, port, timeout=60.0)
-            cache[replica_id] = (generation, client)
-            with self._clients_lock:
-                self._all_clients.append(client)
-        return cache[replica_id][1]
-
-    def _drop_client(self, replica_id: str) -> None:
-        cache = getattr(self._tls, "clients", None)
-        if cache is None:
-            return
-        entry = cache.pop(replica_id, None)
-        if entry is not None:
-            entry[1].close()
-
-    # -- request handling (event loop) ----------------------------------------
-    def _deadline_s(self, payload: Mapping[str, Any]) -> float:
-        value = payload.get(
-            "deadline_s", self.config.service.default_deadline_s
-        )
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"deadline_s must be a number, got {value!r}")
-        if value <= 0:
-            raise ValidationError(f"deadline_s must be positive, got {value}")
-        return float(value)
-
-    async def handle_predict(self, payload: Mapping[str, Any]) -> dict[str, Any]:
-        """Answer one ``/v1/predict`` body with the standard envelope."""
-        started = time.perf_counter()
-        queries = PredictionService.parse_queries(payload)
-        deadline_s = self._deadline_s(payload)
-        limit = self.config.service.max_request_queries
-        if len(queries) > limit:
-            self.metrics.add("router.rejected")
-            raise CapacityError(
-                f"request expands to {len(queries)} queries; the router "
-                f"caps requests at {limit}",
-                details={"max_request_queries": limit},
-            )
-        if self._state != "running":
-            raise CapacityError(f"router is {self._state}")
-        keys = [self._resolver.cache_key(q) for q in queries]
-        results: list[PredictionResult | None] = [None] * len(queries)
-        miss_indices: list[int] = []
-        for i, key in enumerate(keys):
-            cached = self.cache.get(key) if self.cache.enabled else None
-            if cached is not None:
-                results[i] = cached
-            else:
-                miss_indices.append(i)
-        hits = len(queries) - len(miss_indices)
-        self.metrics.add("router.cache_hits", float(hits))
-        self.metrics.add("router.cache_misses", float(len(miss_indices)))
-        if miss_indices:
-            await self._forward_misses(
-                queries, keys, results, miss_indices, deadline_s
-            )
-        self.metrics.add("router.queries", float(len(queries)))
-        self.metrics.set_gauge("router.cache_hit_rate", self.cache.hit_rate)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        assert all(r is not None for r in results)
-        return success_envelope(
-            results=[r.to_dict() for r in results],  # type: ignore[union-attr]
-            meta={
-                "queries": len(queries),
-                "cached": hits,
-                "computed": len(miss_indices),
-                "elapsed_ms": elapsed_ms,
-            },
-        )
-
-    async def handle_plan(self, payload: Mapping[str, Any]) -> dict[str, Any]:
-        """Answer one ``/v1/plan`` body by forwarding the whole solve to
-        one replica (chosen by the request's canonical key, so repeated
-        identical specs keep landing where the candidate evaluations are
-        already cached), failing over along the ring preference order."""
-        started = time.perf_counter()
-        request = PredictionService.parse_plan(payload)
-        deadline_s = self._deadline_s(payload)
-        limit = self.config.service.max_request_queries
-        candidates = request.candidate_count()
-        if candidates > limit:
-            self.metrics.add("router.rejected")
-            raise CapacityError(
-                f"plan expands to {candidates} candidate queries; the "
-                f"router caps requests at {limit}",
-                details={"max_request_queries": limit},
-            )
-        if self._state != "running":
-            raise CapacityError(f"router is {self._state}")
-        assert self._pool is not None
-        ring = self.replicas.ring()
-        if not len(ring):
-            self.metrics.add("router.rejected")
-            raise CapacityError(
-                "no routable replicas (all down or draining)",
-                details={"replicas": self.replicas.as_dict()["replicas"]},
-            )
-        preferences = ring.preferences(
-            request.canonical_key(), self.config.max_attempts
-        )
-        deadline_at = time.monotonic() + deadline_s
-        future = asyncio.get_running_loop().run_in_executor(
-            self._pool, self._forward_plan, preferences, request, deadline_at
-        )
-        try:
-            result = await asyncio.wait_for(future, timeout=deadline_s + 1.0)
-        except asyncio.TimeoutError:
-            self.metrics.add("router.deadline_exceeded")
-            raise DeadlineExceededError(
-                f"deadline of {deadline_s:g}s exceeded at the router "
-                "(plan still solving)",
-                details={"deadline_s": deadline_s},
-            ) from None
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        self.metrics.add("router.plans")
-        return success_envelope(
-            plan=result.to_dict(),
-            meta={
-                "items": len(request.mix),
-                "pool": len(request.pool),
-                "candidates": candidates,
-                "elapsed_ms": elapsed_ms,
-            },
-        )
-
-    def _forward_plan(
+    # -- forwarding (pool threads) ----------------------------------------------
+    def _forward(
         self,
         preferences: Sequence[str],
-        request: PlanRequest,
+        call: Callable[..., T],
+        argument: Any,
         deadline_at: float,
-    ) -> PlanResult:
-        """One plan's round trip with failover (pool thread) — the same
-        error classification as :meth:`_forward_group`."""
-        last_error: Exception | None = None
-        for replica_id in preferences:
-            remaining = deadline_at - time.monotonic()
-            if remaining <= 0:
-                break
-            budget = remaining
-            if self.config.attempt_timeout_s is not None:
-                budget = min(budget, self.config.attempt_timeout_s)
-            try:
-                client = self._client(replica_id)
-            except KeyError:  # deregistered while we routed
-                continue
-            client.set_timeout(budget + 0.5)
-            try:
-                result = client.plan(request, deadline_s=remaining)
-            except _FATAL_ERRORS:
-                raise
-            except CapacityError as exc:
-                last_error = exc
-                self.metrics.add(
-                    "router.replica_busy", labels={"replica": replica_id}
-                )
-                continue
-            except (OSError, ApiError) as exc:
-                last_error = exc
-                self._drop_client(replica_id)
-                self.replicas.mark_failure(replica_id)
-                self.metrics.add(
-                    "router.failovers", labels={"replica": replica_id}
-                )
-                continue
-            self.replicas.mark_success(replica_id)
-            self.metrics.add(
-                "router.forwards", labels={"replica": replica_id}
+    ) -> T:
+        """One forward with failover over this pool thread's
+        connections."""
+        connections = getattr(self._tls, "connections", None)
+        if connections is None:
+            connections = self._tls.connections = ReplicaConnections(
+                self.replicas, timeout=60.0
             )
-            return result
-        if time.monotonic() >= deadline_at:
-            self.metrics.add("router.deadline_exceeded")
-            raise DeadlineExceededError(
-                "deadline exceeded while failing over "
-                f"(tried {list(preferences)})",
-            ) from last_error
-        if isinstance(last_error, ApiError):
-            raise last_error
-        self.metrics.add("router.rejected")
-        raise CapacityError(
-            f"no replica answered (tried {list(preferences)})",
-        ) from last_error
+            with self._connections_lock:
+                self._connection_sets.append(connections)
+        return failover(
+            connections,
+            preferences,
+            call,
+            argument,
+            deadline_at=deadline_at,
+            attempt_timeout_s=self.config.attempt_timeout_s,
+            metrics=self.metrics,
+        )
 
-    async def _forward_misses(
-        self,
-        queries: Sequence[Query],
-        keys: Sequence[str],
-        results: list[PredictionResult | None],
-        miss_indices: Sequence[int],
-        deadline_s: float,
-    ) -> None:
-        """Group misses by ring owner, forward the groups concurrently,
-        scatter the answers back in place."""
-        assert self._pool is not None
+    def _routable_ring(self) -> HashRing:
         ring = self.replicas.ring()
         if not len(ring):
             self.metrics.add("router.rejected")
@@ -504,96 +425,62 @@ class ShardRouter:
                 "no routable replicas (all down or draining)",
                 details={"replicas": self.replicas.as_dict()["replicas"]},
             )
+        return ring
+
+    # -- the back half (event loop) -------------------------------------------
+    async def _answer_misses(
+        self, queries: list[Query], keys: list[str], deadline_s: float
+    ) -> Sequence[PredictionResult]:
+        """Group misses by ring owner, forward the groups concurrently,
+        scatter the answers back into submission order."""
+        ring = self._routable_ring()
         groups: dict[str, list[int]] = {}
-        for index in miss_indices:
-            groups.setdefault(ring.assign(keys[index]), []).append(index)
+        for index, key in enumerate(keys):
+            groups.setdefault(ring.assign(key), []).append(index)
         deadline_at = time.monotonic() + deadline_s
         loop = asyncio.get_running_loop()
-        futures = [
+        forwards = [
             loop.run_in_executor(
                 self._pool,
-                self._forward_group,
+                self._forward,
                 ring.preferences(keys[indices[0]], self.config.max_attempts),
+                ServeClient.predict_many,
                 [queries[i] for i in indices],
                 deadline_at,
             )
             for indices in groups.values()
         ]
-        try:
-            answered = await asyncio.wait_for(
-                asyncio.gather(*futures), timeout=deadline_s + 1.0
-            )
-        except asyncio.TimeoutError:
-            self.metrics.add("router.deadline_exceeded")
-            raise DeadlineExceededError(
-                f"deadline of {deadline_s:g}s exceeded at the router "
-                f"({len(miss_indices)} queries pending)",
-                details={"deadline_s": deadline_s},
-            ) from None
+        answered = await self._within_deadline(
+            asyncio.gather(*forwards),
+            deadline_s,
+            f"{len(queries)} queries pending",
+        )
+        results: list[PredictionResult | None] = [None] * len(queries)
         for indices, group_results in zip(groups.values(), answered):
             for index, result in zip(indices, group_results):
                 results[index] = result
-                self.cache.put(keys[index], result)
+        return results  # type: ignore[return-value]
 
-    def _forward_group(
-        self,
-        preferences: Sequence[str],
-        queries: list[Query],
-        deadline_at: float,
-    ) -> list[PredictionResult]:
-        """One owner group's round trip with failover (pool thread)."""
-        last_error: Exception | None = None
-        for replica_id in preferences:
-            remaining = deadline_at - time.monotonic()
-            if remaining <= 0:
-                break
-            budget = remaining
-            if self.config.attempt_timeout_s is not None:
-                budget = min(budget, self.config.attempt_timeout_s)
-            try:
-                client = self._client(replica_id)
-            except KeyError:  # deregistered while we routed
-                continue
-            client.set_timeout(budget + 0.5)
-            try:
-                answers = client.predict_many(queries, deadline_s=remaining)
-            except _FATAL_ERRORS:
-                raise
-            except CapacityError as exc:
-                # Alive but full (or draining): spill to the successor
-                # without a health penalty.
-                last_error = exc
-                self.metrics.add(
-                    "router.replica_busy", labels={"replica": replica_id}
-                )
-                continue
-            except (OSError, ApiError) as exc:
-                # Transport death or a poisoned answer: charge the
-                # replica and fail over.
-                last_error = exc
-                self._drop_client(replica_id)
-                self.replicas.mark_failure(replica_id)
-                self.metrics.add(
-                    "router.failovers", labels={"replica": replica_id}
-                )
-                continue
-            self.replicas.mark_success(replica_id)
-            self.metrics.add(
-                "router.forwards", labels={"replica": replica_id}
-            )
-            return answers
-        if time.monotonic() >= deadline_at:
-            self.metrics.add("router.deadline_exceeded")
-            raise DeadlineExceededError(
-                "deadline exceeded while failing over "
-                f"(tried {list(preferences)})",
-            ) from last_error
-        if isinstance(last_error, ApiError):
-            raise last_error
-        self.metrics.add("router.rejected")
-        raise CapacityError(
-            f"no replica answered (tried {list(preferences)})",
-        ) from last_error
+    async def _solve_plan(
+        self, request: PlanRequest, deadline_s: float
+    ) -> PlanResult:
+        """Forward the whole solve to one replica, chosen by the
+        request's canonical key so repeated identical specs keep landing
+        where the candidate evaluations are already cached."""
+        preferences = self._routable_ring().preferences(
+            request.canonical_key(), self.config.max_attempts
+        )
+        future = asyncio.get_running_loop().run_in_executor(
+            self._pool,
+            self._forward,
+            preferences,
+            ServeClient.plan,
+            request,
+            time.monotonic() + deadline_s,
+        )
+        return await self._within_deadline(
+            future, deadline_s, "plan still solving"
+        )
 
     # -- introspection endpoints ------------------------------------------------
     def healthz(self) -> dict[str, Any]:
@@ -624,7 +511,7 @@ class ShardRouter:
         with ServeClient(host, port, timeout=5.0) as client:
             return client.metrics()
 
-    async def metrics_snapshot(self) -> dict[str, Any]:
+    async def metrics_document(self) -> dict[str, Any]:
         """The ``/metrics`` document: router registry + router cache +
         per-replica snapshots + the cross-replica aggregate.
 
@@ -643,7 +530,7 @@ class ShardRouter:
                 snapshot = await loop.run_in_executor(
                     pool, self._fetch_replica_metrics, replica_id
                 )
-            except Exception as exc:
+            except (KeyError, OSError, ApiError) as exc:
                 return replica_id, {
                     "error": f"{type(exc).__name__}: {exc}"
                 }
@@ -654,26 +541,6 @@ class ShardRouter:
         )
         per_replica = dict(pairs)
         reachable = [s for s in per_replica.values() if "error" not in s]
-        executor_total: dict[str, Any] = {}
-        for snapshot in reachable:
-            for name, value in snapshot.get("executor", {}).items():
-                if name == "hit_rate":
-                    continue
-                executor_total[name] = executor_total.get(name, 0) + value
-        lookups = executor_total.get("hits", 0) + executor_total.get("misses", 0)
-        executor_total["hit_rate"] = (
-            executor_total.get("hits", 0) / lookups if lookups else 0.0
-        )
-        cache_total: dict[str, Any] = {}
-        for snapshot in reachable:
-            for name, value in snapshot.get("cache", {}).items():
-                if name in ("hit_rate", "ttl_s"):
-                    continue
-                cache_total[name] = cache_total.get(name, 0) + value
-        cache_lookups = cache_total.get("hits", 0) + cache_total.get("misses", 0)
-        cache_total["hit_rate"] = (
-            cache_total.get("hits", 0) / cache_lookups if cache_lookups else 0.0
-        )
         return success_envelope(
             service=self.metrics.as_dict(),
             cache=self.cache.stats(),
@@ -683,8 +550,12 @@ class ShardRouter:
                 "service": merge_exports(
                     s.get("service", {}) for s in reachable
                 ),
-                "executor": executor_total,
-                "cache": cache_total,
+                "executor": sum_counters(
+                    s.get("executor", {}) for s in reachable
+                ),
+                "cache": sum_counters(
+                    (s.get("cache", {}) for s in reachable), skip=("ttl_s",)
+                ),
                 "reachable": len(reachable),
             },
         )
@@ -855,9 +726,7 @@ class ShardDeployment:
                 "in-process)"
             )
         self.faults = faults
-        self.replicas = ReplicaSet(
-            fail_after=self.config.fail_after, vnodes=self.config.vnodes
-        )
+        self.replicas = ReplicaSet(fail_after=self.config.fail_after)
         self.router = ShardRouter(self.config, self.replicas)
         self._router_thread = ServerThread(
             service=self.router, host=self.config.host, port=self.config.port
@@ -873,7 +742,7 @@ class ShardDeployment:
         if self._handles:
             raise RuntimeError("deployment already started")
         service_config = self.config.service
-        if service_config.table_cache_dir is None and self.config.share_table_cache:
+        if service_config.table_cache_dir is None:
             # One persistent-table directory for the whole fleet: the
             # first replica to build a machine's tables warms the rest.
             self._tmp_table_dir = tempfile.TemporaryDirectory(
@@ -905,12 +774,12 @@ class ShardDeployment:
             self.faults.release_all()
         try:
             self._router_thread.stop()
-        except Exception:
+        except _TEARDOWN_ERRORS:
             pass
         for handle in self._handles.values():
             try:
                 handle.stop(drain=False)
-            except Exception:
+            except _TEARDOWN_ERRORS:
                 pass
         self._handles.clear()
         if self._tmp_table_dir is not None:
@@ -957,7 +826,7 @@ class ShardDeployment:
         if handle is not None:
             try:
                 handle.kill()
-            except Exception:
+            except _TEARDOWN_ERRORS:
                 pass
         self._boot_replica(replica_id)
         return self.replicas.address(replica_id)
@@ -1012,32 +881,12 @@ class ShardClient:
                 f"max_attempts must be >= 1, got {max_attempts}"
             )
         self.replicas = replicas
-        self.timeout = timeout
         self.max_attempts = max_attempts
         self._keyer = keyer
-        self._clients: dict[str, tuple[int, ServeClient]] = {}
-
-    # -- connections ------------------------------------------------------------
-    def _client(self, replica_id: str) -> ServeClient:
-        generation = self.replicas.generation(replica_id)
-        entry = self._clients.get(replica_id)
-        if entry is None or entry[0] != generation:
-            if entry is not None:
-                entry[1].close()
-            host, port = self.replicas.address(replica_id)
-            entry = (generation, ServeClient(host, port, timeout=self.timeout))
-            self._clients[replica_id] = entry
-        return entry[1]
-
-    def _drop(self, replica_id: str) -> None:
-        entry = self._clients.pop(replica_id, None)
-        if entry is not None:
-            entry[1].close()
+        self._connections = ReplicaConnections(replicas, timeout)
 
     def close(self) -> None:
-        for _, client in self._clients.values():
-            client.close()
-        self._clients.clear()
+        self._connections.close()
 
     def __enter__(self) -> "ShardClient":
         return self
@@ -1062,33 +911,18 @@ class ShardClient:
         deadline_s: float | None = None,
     ) -> PredictionResult:
         """Answer one query on its owning replica, failing over along
-        the ring preference order."""
+        the ring preference order (``deadline_s`` bounds all attempts
+        together)."""
         run_key = key if key is not None else self.key_for(query)
         preferences = self.replicas.preferences(run_key, self.max_attempts)
         if not preferences:
             raise CapacityError("no routable replicas (all down or draining)")
-        last_error: Exception | None = None
-        for replica_id in preferences:
-            try:
-                client = self._client(replica_id)
-            except KeyError:
-                continue
-            try:
-                result = client.predict(query, deadline_s=deadline_s)
-            except _FATAL_ERRORS:
-                raise
-            except CapacityError as exc:
-                last_error = exc  # alive but full: spill, no health mark
-                continue
-            except (OSError, ApiError) as exc:
-                last_error = exc
-                self._drop(replica_id)
-                self.replicas.mark_failure(replica_id)
-                continue
-            self.replicas.mark_success(replica_id)
-            return result
-        if isinstance(last_error, ApiError):
-            raise last_error
-        raise CapacityError(
-            f"no replica answered (tried {preferences})"
-        ) from last_error
+        return failover(
+            self._connections,
+            preferences,
+            ServeClient.predict,
+            query,
+            deadline_at=(
+                None if deadline_s is None else time.monotonic() + deadline_s
+            ),
+        )

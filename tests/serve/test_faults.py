@@ -330,3 +330,33 @@ def test_capacity_spill_keeps_overloaded_replica_healthy(oracle):
         assert deployment.replicas.info(victim).state == "up"
     finally:
         deployment.stop()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [{"meta": {}}, {"results": []}],
+    ids=["missing-results", "short-results"],
+)
+def test_malformed_replica_answer_fails_over(oracle, body):
+    """A replica that answers 200 with a body that does not answer the
+    request is faulty, not the request: the caller gets the successor's
+    bit-identical answer and the replica is charged (here: downed)."""
+    from repro.api.envelope import success_envelope
+
+    faults = FaultInjector()
+    deployment = _deployment(faults)
+    try:
+        host, port = deployment.start()
+        query = _queries()[0]
+        victim = _owner_of(deployment, oracle, query)
+
+        async def malformed(payload):
+            return success_envelope(**body)
+
+        deployment.handle(victim).service.handle_predict = malformed
+        with ServeClient(host, port, timeout=30.0) as client:
+            assert client.predict(query, deadline_s=20.0) == oracle.predict(query)
+        assert deployment.replicas.info(victim).state == "down"
+        assert victim not in deployment.replicas.routable_ids()
+    finally:
+        deployment.stop()

@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro.api.errors import CapacityError
+from repro.api.errors import ApiError, CapacityError
 from repro.api.types import SCHEMA_VERSION, Query
 from repro.serve.client import ServeClient
 from repro.serve.loadgen import build_keyed_pool, run_shard_phase
@@ -129,6 +129,29 @@ def test_mid_body_disconnect_is_a_connection_error():
         with ServeClient(server.host, server.port, timeout=5.0) as client:
             with pytest.raises(ConnectionError):
                 client.predict(_query())
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"HTTP/1.1 OK 200\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n",
+    ],
+    ids=["status-code", "content-length"],
+)
+def test_malformed_framing_is_an_api_error(head):
+    """Unparseable response framing is the server's fault: a typed
+    ``ApiError`` (which routers fail over on and health probes count
+    as unhealthy), never a bare ``ValueError``."""
+
+    def handler(conn: socket.socket) -> None:
+        _read_request(conn)
+        conn.sendall(head)
+
+    with _FakeServer(handler) as server:
+        with ServeClient(server.host, server.port, timeout=5.0) as client:
+            with pytest.raises(ApiError):
+                client.healthz()
 
 
 def test_backpressure_envelope_rehydrates_as_capacity_error():
