@@ -45,7 +45,7 @@ def run_ablation(runner):
             "vector-ops": PlacementMix.from_allocation_split(vectors.split),
         }
         model = PerformanceModel(runner.machine, sim_os.memory)
-        run = model.run(workload.profile(), mixes, 64)
+        run = model.evaluate(workload.profile(), mixes, 64)
         fine = workload.metric(run)
         hbm_fraction = sim_os.allocator.hbm_fraction()
     return workload, coarse, fine, hbm_fraction

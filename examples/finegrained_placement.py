@@ -59,7 +59,7 @@ def main() -> None:
             "vector-ops": PlacementMix.from_allocation_split(vectors.split),
         }
         model = PerformanceModel(runner.machine, sim_os.memory)
-        run = model.run(workload.profile(), mixes, 64)
+        run = model.evaluate(workload.profile(), mixes, 64)
         print(
             f"\n  fine-grained            {workload.metric(run) / 1e6:.0f} "
             f"CG MFLOPS  "

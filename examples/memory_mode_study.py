@@ -80,7 +80,7 @@ def main() -> None:
     for threads in (64, 128, 192, 256):
         row = [f"{threads:>8}"]
         for _, model, mix in combos:
-            run = model.run(profile, mix, threads)
+            run = model.evaluate(profile, mix, threads)
             row.append(f"{run.time_s * 1e3:>10.1f}ms")
         print("".join(row))
     print("\n(lower is better; note where extra hardware threads stop paying)")

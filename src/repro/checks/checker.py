@@ -194,7 +194,7 @@ class CheckingRunner:
     """Runner wrapper auditing every run against the invariant registry.
 
     Duck-compatible with :class:`~repro.core.runner.ExperimentRunner`
-    (``machine``, ``run``, ``run_configs``), so it slots between a
+    (``machine``, ``run``), so it slots between a
     :class:`~repro.core.executor.SweepExecutor` and its runner — or can
     be used directly.  Each run executes inside a metrics window (see
     :mod:`repro.checks.window`), which serializes checked runs within a
@@ -261,16 +261,6 @@ class CheckingRunner:
         )
         self.handle_report(report)
         return record
-
-    def run_configs(
-        self,
-        workload: Workload,
-        configs: "tuple[SystemConfig | ConfigName, ...] | None" = None,
-        num_threads: int = 64,
-    ) -> list[RunRecord]:
-        if configs is None:
-            configs = ConfigName.paper_trio()
-        return [self.run(workload, c, num_threads) for c in configs]
 
     # -- violation policy -----------------------------------------------------
     def handle_report(self, report: CheckReport) -> None:

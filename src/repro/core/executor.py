@@ -482,25 +482,6 @@ class SweepExecutor:
         resolved = make_config(config) if isinstance(config, ConfigName) else config
         return self.run_cells([SweepCell(workload, resolved, num_threads)])[0]
 
-    def run_configs(
-        self,
-        workload: Workload,
-        configs: tuple[SystemConfig | ConfigName, ...] | None = None,
-        num_threads: int = 64,
-    ) -> list[RunRecord]:
-        """Cached batch counterpart of :meth:`ExperimentRunner.run_configs`."""
-        if configs is None:
-            configs = ConfigName.paper_trio()
-        cells = [
-            SweepCell(
-                workload,
-                make_config(c) if isinstance(c, ConfigName) else c,
-                num_threads,
-            )
-            for c in configs
-        ]
-        return self.run_cells(cells)
-
     # -- batch execution ------------------------------------------------------
     def run_cells(self, cells: Sequence[SweepCell]) -> list[RunRecord]:
         """Run a batch, returning records in submission order.

@@ -84,9 +84,6 @@ class EngineBenchResult:
     eventsim_requests: int
     eventsim_reference_seconds: float
     eventsim_optimized_seconds: float
-    eventsim_vector_requests: int
-    eventsim_vector_reference_seconds: float
-    eventsim_vector_optimized_seconds: float
 
     @property
     def scalar_us_per_point(self) -> float:
@@ -119,14 +116,6 @@ class EngineBenchResult:
     def eventsim_speedup(self) -> float:
         return self.eventsim_reference_seconds / self.eventsim_optimized_seconds
 
-    @property
-    def eventsim_vector_speedup(self) -> float:
-        """Speedup at the high-occupancy point served by the batched core."""
-        return (
-            self.eventsim_vector_reference_seconds
-            / self.eventsim_vector_optimized_seconds
-        )
-
     def as_dict(self) -> dict:
         return {
             "grid_points": self.grid_points,
@@ -154,12 +143,6 @@ class EngineBenchResult:
                 "optimized_seconds": self.eventsim_optimized_seconds,
                 "speedup": self.eventsim_speedup,
             },
-            "eventsim_vector": {
-                "requests": self.eventsim_vector_requests,
-                "reference_seconds": self.eventsim_vector_reference_seconds,
-                "optimized_seconds": self.eventsim_vector_optimized_seconds,
-                "speedup": self.eventsim_vector_speedup,
-            },
         }
 
     def describe(self) -> str:
@@ -169,9 +152,7 @@ class EngineBenchResult:
             f"{self.batch_hot_us_per_point:.2f} us/pt -> "
             f"{self.speedup_hot:.1f}x (warm {self.speedup_warm:.1f}x with "
             f"table cache, cold {self.speedup_cold:.1f}x); "
-            f"eventsim {self.eventsim_speedup:.1f}x over reference "
-            f"({self.eventsim_vector_speedup:.1f}x at the high-occupancy "
-            f"vector point)"
+            f"eventsim {self.eventsim_speedup:.1f}x over reference"
         )
 
 
@@ -204,15 +185,8 @@ def build_grid(
     ]
 
 
-#: The two measured event-simulator operating points.  The first is the
-#: historical 512-in-flight point (below the batched core's dispatch
-#: threshold, so it times the scalar core); the second saturates the
-#: channels with 2048 outstanding requests and is served by the
-#: vectorized batched core.
+#: The measured event-simulator operating point: 512 requests in flight.
 _EVENTSIM_POINT = dict(threads=64, mlp=8.0, requests_per_thread=200, seed=1)
-_EVENTSIM_VECTOR_POINT = dict(
-    threads=128, mlp=16.0, requests_per_thread=200, seed=1
-)
 
 
 def _bench_eventsim(params: dict, repeats: int = 3) -> tuple[int, float, float]:
@@ -301,9 +275,6 @@ def measure_engine(
             )
 
     requests, reference_s, optimized_s = _bench_eventsim(_EVENTSIM_POINT)
-    vec_requests, vec_reference_s, vec_optimized_s = _bench_eventsim(
-        _EVENTSIM_VECTOR_POINT
-    )
     return EngineBenchResult(
         grid_points=len(grid),
         scalar_sample_points=len(sample),
@@ -315,9 +286,6 @@ def measure_engine(
         eventsim_requests=requests,
         eventsim_reference_seconds=reference_s,
         eventsim_optimized_seconds=optimized_s,
-        eventsim_vector_requests=vec_requests,
-        eventsim_vector_reference_seconds=vec_reference_s,
-        eventsim_vector_optimized_seconds=vec_optimized_s,
     )
 
 
@@ -357,7 +325,6 @@ def _history_entry(result: EngineBenchResult) -> dict:
         "speedup_warm": round(result.speedup_warm, 2),
         "speedup_hot": round(result.speedup_hot, 2),
         "eventsim_speedup": round(result.eventsim_speedup, 2),
-        "eventsim_vector_speedup": round(result.eventsim_vector_speedup, 2),
     }
 
 

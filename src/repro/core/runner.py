@@ -182,24 +182,3 @@ class ExperimentRunner:
             metric_unit=workload.spec.metric_unit,
             run_result=result,
         )
-
-    def run_configs(
-        self,
-        workload: Workload,
-        configs: tuple[SystemConfig | ConfigName, ...] | None = None,
-        num_threads: int = 64,
-    ) -> list[RunRecord]:
-        """Deprecated alias of :func:`repro.api.compare_configs` (which
-        preserves this runner's per-config dispatch exactly)."""
-        import warnings
-
-        warnings.warn(
-            "ExperimentRunner.run_configs is deprecated; use "
-            "repro.api.compare_configs",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        # Imported lazily: repro.api resolves core modules at import time.
-        from repro.api import compare_configs
-
-        return compare_configs(workload, configs, num_threads, runner=self)

@@ -13,11 +13,11 @@ This module evaluates whole grids in a few numpy array ops:
 
 * :class:`ModelTables` — a vectorized twin of :class:`PerformanceModel`
   bound to one (machine, memory system).  Footprint-, threading- and
-  write-fraction-dependent quantities are resolved by calling the *scalar*
-  model once per unique value and memoizing (``sequential_latency_ns``,
-  ``sequential_bandwidth``, ``random_latency_ns``,
-  ``random_capacity_lines``); the surrounding phase arithmetic is
-  replicated expression-for-expression in numpy.
+  write-fraction-dependent quantities are resolved once per unique value
+  through the scalar model's bit-identical columnar twins and memoized
+  (``sequential_latency_ns``, ``sequential_bandwidth``,
+  ``random_latency_ns``, ``random_capacity_lines``); the surrounding
+  phase arithmetic is replicated expression-for-expression in numpy.
 * :class:`BatchEvaluator` — a vectorized twin of
   :class:`ExperimentRunner`.  One simulated boot per configuration, one
   parsed numactl policy, one memoized placement per (config, footprint) —
@@ -53,7 +53,6 @@ value.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -124,11 +123,12 @@ def _gather_bulk(
     """Memoized elementwise lookup: one *columnar* ``compute_many`` call
     covering every unique key not already in the memo.
 
-    The vectorized twin of :func:`_gather`: same memo dicts (plain-int
-    keys, plain-float values, so entries survive a JSON round trip
-    bit-identically), but the misses are computed in a single bulk call
-    instead of a Python loop — this is what moves table *construction*
-    off the warm path's critical section.
+    The columnar counterpart of :func:`_gather`: same memo dicts
+    (plain-int keys, plain-float values, so entries survive a JSON round
+    trip bit-identically), but the misses are computed in a single bulk
+    call instead of a Python loop — this is what moves table
+    *construction* off the warm path's critical section.  Every memo
+    except the ``tlb_depth`` gauge is filled this way.
     """
     uniq, inverse = np.unique(keys, return_inverse=True)
     uniq_list = [int(k) for k in uniq.tolist()]
@@ -155,25 +155,13 @@ class ModelTables:
 
     Owns a scalar model instance and answers *rows* — parallel arrays with
     one entry per (query point, phase) — in a handful of array ops.  All
-    footprint-dependent quantities are resolved through the scalar model
-    (memoized per unique footprint / threading level / write fraction), so
-    the numbers are the scalar engine's own.
+    footprint-dependent quantities are resolved through the scalar model's
+    columnar ``*_many`` twins (memoized per unique footprint / threading
+    level / write fraction), so the numbers are the scalar engine's own.
     """
 
-    def __init__(
-        self,
-        machine: KNLMachine,
-        memory: MemorySystem,
-        *,
-        vectorized: bool = True,
-    ) -> None:
+    def __init__(self, machine: KNLMachine, memory: MemorySystem) -> None:
         self.model = PerformanceModel(machine, memory)
-        # vectorized=True (the default) fills memo misses through the
-        # columnar *_many model twins in one bulk call per lookup;
-        # vectorized=False is the retained scalar reference path (one
-        # scalar model call per unique key).  Both paths populate the
-        # same memo dicts with identical bits (equivalence-tested).
-        self._vectorized = vectorized
         core = machine.reference_core
         self._mlp_sequential = core.mlp_sequential
         self._mlp_random = core.mlp_random
@@ -208,11 +196,9 @@ class ModelTables:
     # -- memoized scalar-model lookups --------------------------------------
     def _sequential_latency(self, loc: Location, fps: np.ndarray) -> np.ndarray:
         memo = self._seq_lat.setdefault(loc, {})
-        if self._vectorized:
-            return _gather_bulk(
-                memo, fps, lambda f: self.model.sequential_latency_ns_many(loc, f)
-            )
-        return _gather(memo, fps, lambda f: self.model.sequential_latency_ns(loc, f))
+        return _gather_bulk(
+            memo, fps, lambda f: self.model.sequential_latency_ns_many(loc, f)
+        )
 
     def _sequential_cap_many(
         self, loc: Location, keys: np.ndarray, wf: float
@@ -239,29 +225,18 @@ class ModelTables:
             mask = wfs == wf
             wf = float(wf)
             memo = self._seq_cap.setdefault((loc, wf), {})
-            if self._vectorized:
-                out[mask] = _gather_bulk(
-                    memo,
-                    keys[mask],
-                    lambda k, wf=wf: self._sequential_cap_many(loc, k, wf),
-                )
-            else:
-                out[mask] = _gather(
-                    memo,
-                    keys[mask],
-                    lambda k, wf=wf: self.model.sequential_bandwidth(
-                        loc, k >> 3, k & 7, wf
-                    ),
-                )
+            out[mask] = _gather_bulk(
+                memo,
+                keys[mask],
+                lambda k, wf=wf: self._sequential_cap_many(loc, k, wf),
+            )
         return out
 
     def _random_latency(self, loc: Location, fps: np.ndarray) -> np.ndarray:
         memo = self._rand_lat.setdefault(loc, {})
-        if self._vectorized:
-            return _gather_bulk(
-                memo, fps, lambda f: self.model.random_latency_ns_many(loc, f)
-            )
-        return _gather(memo, fps, lambda f: self.model.random_latency_ns(loc, f))
+        return _gather_bulk(
+            memo, fps, lambda f: self.model.random_latency_ns_many(loc, f)
+        )
 
     def _random_cap(
         self, loc: Location, fps: np.ndarray, wfs: np.ndarray
@@ -271,20 +246,11 @@ class ModelTables:
             mask = wfs == wf
             wf = float(wf)
             memo = self._rand_cap.setdefault((loc, wf), {})
-            if self._vectorized:
-                out[mask] = _gather_bulk(
-                    memo,
-                    fps[mask],
-                    lambda f, wf=wf: self.model.random_capacity_lines_many(
-                        loc, f, wf
-                    ),
-                )
-            else:
-                out[mask] = _gather(
-                    memo,
-                    fps[mask],
-                    lambda f, wf=wf: self.model.random_capacity_lines(loc, f, wf),
-                )
+            out[mask] = _gather_bulk(
+                memo,
+                fps[mask],
+                lambda f, wf=wf: self.model.random_capacity_lines_many(loc, f, wf),
+            )
         return out
 
     # -- the kernel ---------------------------------------------------------
@@ -443,12 +409,8 @@ class ModelTables:
             if busy.any():
                 fpr = fp[rand][busy]
                 tlb = self.model.tlb
-                if self._vectorized:
-                    l1 = _gather_bulk(self._tlb_l1, fpr, tlb.l1_miss_rate_many)
-                    l2 = _gather_bulk(self._tlb_l2, fpr, tlb.l2_miss_rate_many)
-                else:
-                    l1 = _gather(self._tlb_l1, fpr, tlb.l1_miss_rate)
-                    l2 = _gather(self._tlb_l2, fpr, tlb.l2_miss_rate)
+                l1 = _gather_bulk(self._tlb_l1, fpr, tlb.l1_miss_rate_many)
+                l2 = _gather_bulk(self._tlb_l2, fpr, tlb.l2_miss_rate_many)
                 obs_metrics.add("tlb.l1_misses", float((l1 * lines[busy]).sum()))
                 obs_metrics.add("tlb.walks", float((l2 * lines[busy]).sum()))
                 obs_metrics.set_gauge(
@@ -471,35 +433,20 @@ class ModelTables:
             if not pmask.any():
                 continue
             memo = self._hit_rate.setdefault(pattern.value, {})
-            if self._vectorized:
-                h = _gather_bulk(
-                    memo,
-                    fps[pmask],
-                    lambda f: cache.hit_rate_many(f, pattern.value),
-                )
-            else:
-                h = _gather(
-                    memo, fps[pmask], lambda f: cache.hit_rate(f, pattern.value)
-                )
+            h = _gather_bulk(
+                memo, fps[pmask], lambda f: cache.hit_rate_many(f, pattern.value)
+            )
             hits[pmask] = h
             busy = lines[pmask] > 0.0
             if not busy.any():
                 continue
             line_count = lines[pmask][busy]
             hit_rate = h[busy]
-            if self._vectorized:
-                capacity_hit = _gather_bulk(
-                    self._cap_hit,
-                    fps[pmask][busy],
-                    lambda f: _capacity_hit_many(cache, f),
-                )
-            else:
-                capacity_hit = _gather(
-                    self._cap_hit,
-                    fps[pmask][busy],
-                    lambda f: 1.0 if cache.footprint_ratio(f) <= 1.0
-                    else 1.0 / cache.footprint_ratio(f),
-                )
+            capacity_hit = _gather_bulk(
+                self._cap_hit,
+                fps[pmask][busy],
+                lambda f: _capacity_hit_many(cache, f),
+            )
             labels = {"pattern": pattern.value}
             obs_metrics.add("mcdram_cache.accesses", float(line_count.sum()), labels)
             obs_metrics.add(
@@ -641,22 +588,6 @@ class ModelTables:
             )
 
     # -- model.evaluate twin -------------------------------------------------
-    def run_batch(
-        self,
-        requests: Sequence[
-            tuple[MemoryProfile, "PlacementMix | dict[str, PlacementMix]", int]
-        ],
-    ) -> list[RunResult]:
-        """Deprecated alias of :meth:`evaluate_batch` (the pre-`repro.api`
-        entry point; kept for callers of the historical shape)."""
-        warnings.warn(
-            "ModelTables.run_batch is deprecated; use "
-            "ModelTables.evaluate_batch (or the repro.api facade)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.evaluate_batch(requests)
-
     def evaluate_batch(
         self,
         requests: Sequence[

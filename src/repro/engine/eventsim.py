@@ -119,15 +119,6 @@ class MemoryEventSimulator:
         )
         return result
 
-    #: In-flight population below which the scalar event loop wins: the
-    #: batched core amortizes ~40 numpy calls per step over the events it
-    #: can safely pop at once, and that batch is bounded by the in-flight
-    #: population divided across channels.  Measured on the bench machine
-    #: the crossover sits between 512 and 768 outstanding requests
-    #: (1.3-2.8x for the batched core at >= 768 across DDR4/MCDRAM and
-    #: sequential/random; 0.7-1.2x below).
-    _BATCH_MIN_INFLIGHT = 768
-
     def _simulate(
         self,
         *,
@@ -138,51 +129,17 @@ class MemoryEventSimulator:
     ) -> EventSimResult:
         """Optimized event core; result-identical to ``_simulate_reference``.
 
-        Dispatches between two cores, both pinned bit-identical to the
-        reference loop by ``tests/engine/test_eventsim.py``:
-
-        * ``_simulate_batched`` — numpy event arrays with batched pops and
-          per-channel cumulative bookkeeping, for runs with enough
-          outstanding requests to amortize the vector ops;
-        * ``_simulate_scalar`` — the per-event Python loop with a hoisted
-          vectorized channel draw, which stays faster for latency-bound
-          runs (small thread x window products).
-        """
-        check_positive("threads", threads)
-        check_positive("mlp", mlp)
-        check_positive("requests_per_thread", requests_per_thread)
-        window = max(1, int(round(mlp)))
-        in_flight_cap = threads * min(window, requests_per_thread)
-        if in_flight_cap >= self._BATCH_MIN_INFLIGHT:
-            return self._simulate_batched(
-                threads=threads,
-                mlp=mlp,
-                requests_per_thread=requests_per_thread,
-                seed=seed,
-            )
-        return self._simulate_scalar(
-            threads=threads,
-            mlp=mlp,
-            requests_per_thread=requests_per_thread,
-            seed=seed,
-        )
-
-    def _simulate_scalar(
-        self,
-        *,
-        threads: int,
-        mlp: float,
-        requests_per_thread: int,
-        seed: int | None = None,
-    ) -> EventSimResult:
-        """Per-event loop with a hoisted vectorized channel draw.
-
+        A per-event loop with a hoisted vectorized channel draw:
         ``Generator.integers(..., size=n)`` consumes the identical bit
         stream as n scalar draws, so hoisting all channel picks into one
         vectorized draw preserves every simulated event.  The rest of the
         state lives in plain Python lists — scalar indexing on small numpy
-        arrays is slower than list access in this loop.
+        arrays is slower than list access in this loop.  Pinned
+        bit-identical to the reference by ``tests/engine/test_eventsim.py``.
         """
+        check_positive("threads", threads)
+        check_positive("mlp", mlp)
+        check_positive("requests_per_thread", requests_per_thread)
         rng = make_rng(seed, "eventsim", threads, mlp, requests_per_thread)
 
         total = threads * requests_per_thread
@@ -233,234 +190,6 @@ class MemoryEventSimulator:
         return EventSimResult(
             requests=total,
             elapsed_ns=now,
-            mean_latency_ns=float(latencies.mean()),
-        )
-
-    def _simulate_batched(
-        self,
-        *,
-        threads: int,
-        mlp: float,
-        requests_per_thread: int,
-        seed: int | None = None,
-    ) -> EventSimResult:
-        """Vectorized event core over numpy event arrays.
-
-        Bit-identity with the reference heap loop rests on three facts:
-
-        * **Batch safety.**  Channel draws are consumed in pop order from
-          a pre-generated array, so the channel of the j-th future issue
-          is known before it happens.  That issue enters its channel as
-          its (o_j + 1)-th new request (``o_j`` = occurrence rank of the
-          draw within its channel), so it completes no earlier than
-          ``free[c_j] + (o_j + 1)·s + w``; a relative safety margin on
-          that closed form makes it a certain lower bound on the exact
-          iterated-addition value.  Processing a batch of r pops triggers
-          at most r issues, consuming draws 0..r-1 — so the sorted
-          in-flight events up to (exclusive) the first rank r whose
-          completion reaches ``min(bound_0..bound_{r-1})`` all pop before
-          any future event can be pushed, and form one batch in
-          ``(completion, thread)`` order — exactly the heap's tuple
-          order.
-        * **Exact channel bookkeeping.**  Within a batch, channels are
-          independent.  For a channel that stays busy, successive finish
-          times are iterated additions of the service time, which
-          ``np.add.accumulate`` reproduces addition-for-addition; the
-          busy speculation is validated elementwise (previous finish
-          strictly greater than the request's ``now``, matching the
-          scalar ``free if free > now else now``) and falls back to the
-          scalar per-channel loop when it fails.
-        * **Identical RNG stream.**  ``Generator.integers(..., size=n)``
-          consumes the same bit stream as n scalar draws, and issuing
-          events consume draws in batch-sorted order — the pop order of
-          the reference heap.
-
-        ``issued_at``/``completed_at`` chunks are appended in batch-sorted
-        order, so the final latency array is element-for-element the
-        reference's and ``np.mean`` (pairwise summation, order-sensitive)
-        agrees exactly.
-        """
-        rng = make_rng(seed, "eventsim", threads, mlp, requests_per_thread)
-
-        total = threads * requests_per_thread
-        window = max(1, int(round(mlp)))
-        service_ns = self.service_ns
-        wire_ns = self.wire_ns
-        nch = self.channels
-        channel_of = rng.integers(0, nch, size=total)
-        channel_free = np.zeros(nch)
-        remaining = np.full(threads, requests_per_thread, dtype=np.int64)
-
-        # Global occurrence rank of every draw within its channel; windowed
-        # ranks follow by subtracting how many draws each channel has
-        # already consumed (draws are consumed strictly sequentially).
-        g_order = np.argsort(channel_of, kind="stable")
-        g_sorted = channel_of[g_order]
-        g_first = np.searchsorted(g_sorted, g_sorted, side="left")
-        glob_occ = np.empty(total, dtype=np.int64)
-        glob_occ[g_order] = np.arange(total) - g_first
-
-        issued_chunks: list[np.ndarray] = []
-        completed_chunks: list[np.ndarray] = []
-
-        # -- priming: every thread issues its window at t=0 ------------------
-        # Channels start free, so the k-th priming request on a channel
-        # finishes after k+1 iterated service-time additions from zero —
-        # one shared accumulate table serves every channel.
-        prime = min(window, requests_per_thread)
-        n_prime = threads * prime
-        prime_chan = channel_of[:n_prime]
-        cursor = n_prime
-        occ = glob_occ[:n_prime]
-        consumed = np.bincount(prime_chan, minlength=nch)
-        finish_table = np.add.accumulate(
-            np.full(max(1, int(occ.max()) + 1), service_ns)
-        )
-        used = consumed > 0
-        channel_free[used] = finish_table[consumed[used] - 1]
-        completions = finish_table[occ] + wire_ns
-        issued_chunks.append(np.zeros(n_prime))
-        completed_chunks.append(completions)
-        remaining -= prime
-
-        comp_arr = completions
-        thr_arr = np.repeat(np.arange(threads, dtype=np.int64), prime)
-        elapsed = 0.0
-        # Conservative rounding slack: the closed-form spawn bound below
-        # uses one multiply where the simulation uses iterated adds; the
-        # relative error of either is far below 2^-30, so scaling the
-        # bound down by (1 - 2^-30) keeps it a certain lower bound.
-        margin = 1.0 - 2.0**-30
-
-        # -- main loop: pop safe batches until the system drains -------------
-        while comp_arr.size:
-            n = comp_arr.size
-            order = np.lexsort((thr_arr, comp_arr))
-            q_comp = comp_arr[order]
-            q_thr = thr_arr[order]
-
-            # Lower-bound the completion of every issue the batch could
-            # trigger (at most n, consuming the next n channel draws).
-            look = channel_of[cursor : cursor + n]
-            if look.size:
-                l_occ = glob_occ[cursor : cursor + n] - consumed[look]
-                bound = (
-                    channel_free[look] + (l_occ + 1) * service_ns + wire_ns
-                ) * margin
-                # An issue is also no earlier than its triggering pop, and
-                # no pop precedes the current minimum completion — exact
-                # IEEE monotone arithmetic, so no margin needed.
-                np.maximum(
-                    bound, (q_comp[0] + service_ns) + wire_ns, out=bound
-                )
-                np.minimum.accumulate(bound, out=bound)
-                if look.size < n:
-                    tail = np.full(n, bound[-1])
-                    tail[: look.size] = bound
-                    bound = tail
-            else:
-                bound = np.full(n, np.inf)
-            # Rank r is safe iff it pops before any issue triggered by the
-            # r pops ahead of it; rank 0 always pops first.
-            unsafe = np.nonzero(q_comp[1:] >= bound[:-1])[0]
-            cut = int(unsafe[0]) + 1 if unsafe.size else n
-
-            s_comp = q_comp[:cut]
-            s_thr = q_thr[:cut]
-            comp_arr = q_comp[cut:]
-            thr_arr = q_thr[cut:]
-            # Batches ascend in time, so the last batch's final pop is the
-            # run's elapsed time (the reference's final ``now``).
-            elapsed = s_comp[-1]
-
-            # Eligibility: in pop order, a thread issues for its first
-            # ``remaining`` pops of this batch (its occurrence rank).
-            # Fast path: when no thread's pop count exceeds its remaining
-            # quota, every pop issues and ranks are irrelevant.
-            t_counts = np.bincount(s_thr, minlength=threads)
-            if (t_counts <= remaining).all():
-                m = cut
-                i_thr = s_thr
-                i_now = s_comp
-                remaining -= t_counts
-            else:
-                t_order = np.argsort(s_thr, kind="stable")
-                t_sorted = s_thr[t_order]
-                t_first = np.searchsorted(t_sorted, t_sorted, side="left")
-                t_occ = np.empty(cut, dtype=np.int64)
-                t_occ[t_order] = np.arange(cut) - t_first
-                issue = t_occ < remaining[s_thr]
-                m = int(issue.sum())
-                if m == 0:
-                    continue
-                i_thr = s_thr[issue]
-                i_now = s_comp[issue]
-                np.subtract.at(remaining, i_thr, 1)
-
-            # Channel bookkeeping, all channels in one segmented buffer:
-            # segment k holds [free_c, s, s, ...] for present channel c and
-            # one in-place accumulate per segment yields its exact iterated
-            # finish times.
-            i_chan = channel_of[cursor : cursor + m]
-            cursor += m
-            m_counts = np.bincount(i_chan, minlength=nch)
-            consumed += m_counts
-            c_order = np.argsort(i_chan, kind="stable")
-            nows_sorted = i_now[c_order]
-            present = np.nonzero(m_counts)[0]
-            csizes = m_counts[present]
-            n_present = present.size
-            ev_starts = np.zeros(n_present, dtype=np.int64)
-            np.cumsum(csizes[:-1], out=ev_starts[1:])
-            buf_starts = ev_starts + np.arange(n_present)
-            buf = np.empty(m + n_present)
-            buf.fill(service_ns)
-            buf[buf_starts] = channel_free[present]
-            starts_list = buf_starts.tolist()
-            sizes_list = csizes.tolist()
-            for lo, k in zip(starts_list, sizes_list):
-                seg = buf[lo : lo + k + 1]
-                np.add.accumulate(seg, out=seg)
-            fin_idx = np.arange(m) + np.repeat(
-                np.arange(1, n_present + 1), csizes
-            )
-            # Busy speculation: valid where the previous finish strictly
-            # beats the request's pop time (the scalar branch
-            # ``free if free > now else now``).
-            valid = buf[fin_idx - 1] > nows_sorted
-            seg_ok = np.logical_and.reduceat(valid, ev_starts)
-            completions_sorted = buf[fin_idx] + wire_ns
-            if seg_ok.all():
-                channel_free[present] = buf[buf_starts + csizes]
-            else:
-                ok = np.nonzero(seg_ok)[0]
-                channel_free[present[ok]] = buf[buf_starts[ok] + csizes[ok]]
-                for k in np.nonzero(~seg_ok)[0].tolist():
-                    c = int(present[k])
-                    lo = int(ev_starts[k])
-                    hi = lo + int(csizes[k])
-                    free = channel_free[c]
-                    replay = []
-                    for t_now in nows_sorted[lo:hi].tolist():
-                        start = free if free > t_now else t_now
-                        free = start + service_ns
-                        replay.append(free + wire_ns)
-                    completions_sorted[lo:hi] = replay
-                    channel_free[c] = free
-            completions = np.empty(m)
-            completions[c_order] = completions_sorted
-
-            issued_chunks.append(i_now)
-            completed_chunks.append(completions)
-            comp_arr = np.concatenate((comp_arr, completions))
-            thr_arr = np.concatenate((thr_arr, i_thr))
-
-        issued_at = np.concatenate(issued_chunks)
-        completed_at = np.concatenate(completed_chunks)
-        latencies = completed_at - issued_at
-        return EventSimResult(
-            requests=total,
-            elapsed_ns=float(elapsed),
             mean_latency_ns=float(latencies.mean()),
         )
 

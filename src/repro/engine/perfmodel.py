@@ -24,7 +24,6 @@ All the paper's effects emerge from this composition:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -482,22 +481,6 @@ class PerformanceModel:
                 )
         if not sequential:
             self.tlb.record_walks(phase.footprint_bytes, lines)
-
-    def run(
-        self,
-        profile: MemoryProfile,
-        mix: PlacementMix | dict[str, PlacementMix],
-        num_threads: int,
-    ) -> RunResult:
-        """Deprecated alias of :meth:`evaluate` (the pre-`repro.api`
-        entry point; kept for callers of the historical shape)."""
-        warnings.warn(
-            "PerformanceModel.run is deprecated; use "
-            "PerformanceModel.evaluate (or the repro.api facade)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.evaluate(profile, mix, num_threads)
 
     def evaluate(
         self,

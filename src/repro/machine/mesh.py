@@ -17,7 +17,6 @@ The mesh model provides:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -121,8 +120,8 @@ class Mesh2D:
         is the sum of two one-dimensional weighted pair-distance sums over
         the row/column occupancy counts of the row-major tile layout.
         Both axis sums are exact integers, so the single float division
-        is bit-identical to the historical O(n²) permutation sum
-        (:meth:`average_hop_distance_permutation`, retained for tests).
+        is bit-identical to the O(n²) sum over ordered tile pairs (pinned
+        by ``tests/machine/test_mesh.py``).
         """
         return self._average_hop_distance
 
@@ -140,17 +139,6 @@ class Mesh2D:
         ]
         total = _axis_pair_distance_sum(row_counts) + _axis_pair_distance_sum(
             col_counts
-        )
-        return total / (n * (n - 1))
-
-    def average_hop_distance_permutation(self) -> float:
-        """Reference O(n²) permutation sum the closed form must match."""
-        n = len(self.tiles)
-        if n == 1:
-            return 0.0
-        total = sum(
-            self.hop_distance(a, b)
-            for a, b in itertools.permutations(range(n), 2)
         )
         return total / (n * (n - 1))
 

@@ -143,8 +143,8 @@ def measure_plan(
             "mix cycles through distinct_specs = 8 specs, so every fleet "
             "size evaluates the same model cells: they set the 10-item "
             "latency.  What grows with the fleet is per-item work (load "
-            "and cost per candidate, greedy, local search, the plan "
-            "audit), far below linear in candidate_count = items x "
-            "sum(configs per pool entry)."
+            "and cost per candidate, greedy, the plan audit), far below "
+            "linear in candidate_count = items x sum(configs per pool "
+            "entry)."
         ),
     }

@@ -17,9 +17,11 @@ Given a declarative traffic mix and a machine pool
    (``weight * time_s``, per item) and its energy per arrival through
    :class:`~repro.engine.energy.EnergyModel` (once per distinct spec);
 3. **solves** the placement: deterministic greedy best-fit-decreasing
-   (hardest items first) followed by a bounded best-improvement local
-   search, minimizing aggregate runtime load or aggregate energy under
-   the pool's node-count capacity constraints;
+   (hardest items first, each on its cheapest candidate that still
+   fits), minimizing aggregate runtime load or aggregate energy under
+   the pool's node-count capacity constraints.  No single-item move can
+   improve a greedy plan: a cheaper candidate skipped for lack of room
+   only loses room as later items are placed;
 4. **validates** the answer against the plan invariants
    (:mod:`repro.plan.invariants`) before returning it.
 
@@ -60,10 +62,6 @@ __all__ = ["CapacityPlanner", "plan_request"]
 
 #: Relative capacity slack for float sums of loads.
 _REL_TOL = 1e-9
-
-#: Hard ceiling on local-search improvement rounds (each round applies
-#: the single best improving move; convergence is usually a handful).
-_MAX_SEARCH_ROUNDS = 256
 
 
 #: A mix item's ``(workload, size_gb, num_threads)``: items that share
@@ -166,8 +164,6 @@ class CapacityPlanner:
         Items that share a ``(workload, size_gb, num_threads)`` spec
         share its predictions and energy estimates, which are priced
         once; only the weight-dependent load and cost are per item.
-        Every item still gets its own :class:`_Candidate` objects (the
-        local search compares them by identity).
         """
         spec_of = [
             (item.workload, item.size_gb, item.num_threads)
@@ -252,46 +248,6 @@ class CapacityPlanner:
         assert all(c is not None for c in chosen)
         return chosen  # type: ignore[return-value]
 
-    def _local_search(
-        self,
-        request: PlanRequest,
-        per_item: Sequence[Sequence[_Candidate]],
-        chosen: list[_Candidate],
-    ) -> list[_Candidate]:
-        """Bounded best-improvement search: repeatedly apply the single
-        move (reassign one item to another candidate) that most reduces
-        the objective while staying capacity-feasible."""
-        remaining = {entry.machine: float(entry.nodes) for entry in request.pool}
-        for candidate in chosen:
-            remaining[candidate.machine] -= candidate.load_nodes
-        for _ in range(_MAX_SEARCH_ROUNDS):
-            best_delta = 0.0
-            best_move: tuple[int, _Candidate] | None = None
-            for index, current in enumerate(chosen):
-                for candidate in per_item[index]:
-                    if candidate is current:
-                        continue
-                    delta = candidate.cost - current.cost
-                    if delta >= best_delta:
-                        # Options are sorted by ascending cost: no later
-                        # candidate of this item can improve either.
-                        break
-                    free = remaining[candidate.machine]
-                    if candidate.machine == current.machine:
-                        free += current.load_nodes
-                    if not self._fits(candidate.load_nodes, free):
-                        continue
-                    best_delta = delta
-                    best_move = (index, candidate)
-            if best_move is None:
-                return chosen
-            index, candidate = best_move
-            current = chosen[index]
-            remaining[current.machine] += current.load_nodes
-            remaining[candidate.machine] -= candidate.load_nodes
-            chosen[index] = candidate
-        return chosen
-
     # -- entry point ----------------------------------------------------------
     def plan(self, request: PlanRequest) -> PlanResult:
         """Solve one request; raises the typed :mod:`repro.api.errors`
@@ -308,7 +264,6 @@ class CapacityPlanner:
                 float(sum(len(options) for options in per_item)),
             )
             chosen = self._greedy(request, per_item)
-            chosen = self._local_search(request, per_item, chosen)
             assignments = tuple(
                 PlanAssignment(
                     item=request.mix[candidate.item_index],

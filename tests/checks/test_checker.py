@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.api import compare_configs
 from repro.checks.checker import (
     CheckingRunner,
     CheckMode,
@@ -60,7 +61,7 @@ def test_check_mode_from_env(raw, expected):
 def test_paper_trio_runs_clean_for_every_workload():
     runner = CheckingRunner(mode="raise")
     for name in sorted(FROM_GB):
-        records = runner.run_configs(FROM_GB[name](1.0))
+        records = compare_configs(FROM_GB[name](1.0), runner=runner)
         assert len(records) == 3
     assert runner.runs_checked == 3 * len(FROM_GB)
     assert runner.violation_count == 0

@@ -81,7 +81,7 @@ def test_doubling_footprint_never_lowers_tlb_miss_rates(footprint):
 def _time_ns(memory, mix, workload_name="minife", size_gb=1.0, threads=64):
     model = PerformanceModel(knl7210(), memory)
     profile = FROM_GB[workload_name](size_gb).profile()
-    return model.run(profile, mix, threads).time_ns
+    return model.evaluate(profile, mix, threads).time_ns
 
 
 @given(factor=st.floats(0.2, 0.9))

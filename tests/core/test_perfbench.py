@@ -31,9 +31,6 @@ def fake_result(scalar_seconds: float = 0.05) -> EngineBenchResult:
         eventsim_requests=12800,
         eventsim_reference_seconds=0.04,
         eventsim_optimized_seconds=0.008,
-        eventsim_vector_requests=25600,
-        eventsim_vector_reference_seconds=0.08,
-        eventsim_vector_optimized_seconds=0.007,
     )
 
 
@@ -76,13 +73,13 @@ class TestEngineBenchHistory:
         document = json.loads(path.read_text())
         assert len(document["history"]) == 1
 
-    def test_vector_point_recorded_alongside_legacy_point(self, tmp_path):
+    def test_eventsim_point_recorded(self, tmp_path):
         path = tmp_path / "BENCH_engine.json"
         write_bench_json(fake_result(), path)
         document = json.loads(path.read_text())
         assert document["eventsim"]["speedup"] == 5.0
-        assert document["eventsim_vector"]["speedup"] == 80.0 / 7.0
-        assert document["eventsim_vector"]["requests"] == 25600
+        assert document["eventsim"]["requests"] == 12800
+        assert "eventsim_vector" not in document
 
 
 class TestServeBenchHistory:

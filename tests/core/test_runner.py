@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import compare_configs
 from repro.core.configs import ConfigName, make_config
 from repro.core.runner import ExperimentRunner
 from repro.workloads.dgemm import DGEMM
@@ -56,13 +57,14 @@ class TestRun:
 
 class TestRunConfigs:
     def test_default_trio(self, runner):
-        records = runner.run_configs(StreamBenchmark(size_bytes=int(2e9)))
+        records = compare_configs(StreamBenchmark(size_bytes=int(2e9)), runner=runner)
         assert [r.config for r in records] == list(ConfigName.paper_trio())
 
     def test_explicit_configs(self, runner):
-        records = runner.run_configs(
+        records = compare_configs(
             StreamBenchmark(size_bytes=int(2e9)),
             configs=(ConfigName.HYBRID,),
+            runner=runner,
         )
         assert records[0].config is ConfigName.HYBRID
         assert records[0].feasible

@@ -7,7 +7,7 @@ dataclasses (every PhaseResult float, every infeasible reason) across:
 * every registry workload x the paper trio x the thread ladder,
   including the infeasible cells (HBM > 16 GB, DGEMM at 256 threads);
 * fine-grained dict placements and the ablation configs (HYBRID,
-  INTERLEAVE) through ``ModelTables.run_batch``;
+  INTERLEAVE) through ``ModelTables.evaluate_batch``;
 * the executor's transparent batch path vs a forced scalar loop.
 
 Observability in batch mode accounts in aggregate (one span, summed
@@ -29,10 +29,12 @@ from repro.engine.placement import Location, PlacementMix
 from repro.machine.presets import knl7210
 from repro.memory.modes import MCDRAMConfig, MemorySystem
 from repro.obs import metrics as obs_metrics
+from repro.obs.session import observe
 from repro.workloads.base import Workload
 from repro.workloads.registry import FROM_GB
 from repro.workloads.stream import StreamBenchmark
 from repro.workloads.tinymembench import TinyMemBench
+from tests.oracles.model_tables import filled_memos, scalar_memo_mismatches
 
 THREAD_LADDER = (1, 64, 128, 256)
 
@@ -113,7 +115,7 @@ class TestGoldenEquivalence:
 
 
 class TestRunBatch:
-    """ModelTables.run_batch vs PerformanceModel.run (fine-grained API)."""
+    """ModelTables.evaluate_batch vs PerformanceModel.evaluate (fine-grained API)."""
 
     @pytest.mark.parametrize(
         "mcdram",
@@ -142,9 +144,9 @@ class TestRunBatch:
             for location in locations
             for threads in THREAD_LADDER
         ]
-        batch = tables.run_batch(requests)
+        batch = tables.evaluate_batch(requests)
         for (p, mix, threads), got in zip(requests, batch):
-            assert got == model.run(p, mix, threads)
+            assert got == model.evaluate(p, mix, threads)
 
     def test_split_and_dict_mixes_match(self):
         machine = knl7210()
@@ -164,9 +166,9 @@ class TestRunBatch:
             (profile, per_phase, 64),
             (profile, split, 256),
         ]
-        batch = tables.run_batch(requests)
+        batch = tables.evaluate_batch(requests)
         for (p, mix, threads), got in zip(requests, batch):
-            assert got == model.run(p, mix, threads)
+            assert got == model.evaluate(p, mix, threads)
 
     def test_missing_phase_raises_like_scalar(self):
         machine = knl7210()
@@ -176,9 +178,9 @@ class TestRunBatch:
         profile = FROM_GB["minife"](7.2).profile()
         partial = {profile.phases[0].name: PlacementMix.pure(Location.DRAM)}
         with pytest.raises(ValueError) as batch_err:
-            tables.run_batch([(profile, partial, 64)])
+            tables.evaluate_batch([(profile, partial, 64)])
         with pytest.raises(ValueError) as scalar_err:
-            model.run(profile, partial, 64)
+            model.evaluate(profile, partial, 64)
         assert str(batch_err.value) == str(scalar_err.value)
 
 
@@ -335,14 +337,14 @@ class TestObserveMany:
 
 
 class TestScalarReferenceFill:
-    """``vectorized=False`` retains the scalar fill path as a live twin.
+    """The columnar memo fills are a pure perf change.
 
-    Both fill modes populate the same memo dictionaries; the vectorized
-    bulk fills must leave *identical* table contents (the exact floats
-    ``snapshot()`` would persist) and answer every request with the same
-    records.  This is the in-repo proof that the columnar construction
-    is a pure perf change, independent of the end-to-end identity tests
-    above.
+    ``ModelTables`` fills every memo miss through a bulk ``*_many``
+    call; each stored float must equal one scalar model call for its key
+    (``tests/oracles/model_tables.py``), and every answer must equal the
+    scalar ``PerformanceModel.evaluate``.  An observation session is
+    active so the observe-only memos (MCDRAM-cache hit rates, capacity
+    hits, TLB rates) are filled and checked too.
     """
 
     @pytest.mark.parametrize(
@@ -353,12 +355,12 @@ class TestScalarReferenceFill:
     def test_memos_and_outputs_identical(self, mcdram):
         machine = knl7210()
         memory = MemorySystem(mcdram)
-        vectorized = ModelTables(machine, memory, vectorized=True)
-        reference = ModelTables(machine, memory, vectorized=False)
+        tables = ModelTables(machine, memory)
+        model = PerformanceModel(machine, memory)
         profiles = [
             FROM_GB[name](size).profile()
             for name in ("minife", "gups")
-            for size in (0.5, 7.2, 12.0)
+            for size in (0.5, 7.2, 12.0, 24.0)
         ]
         if memory.dram_fronted_by_cache:
             locations = [Location.DRAM_CACHED]
@@ -370,9 +372,17 @@ class TestScalarReferenceFill:
             for location in locations
             for threads in (1, 64, 256)
         ]
-        assert vectorized.run_batch(requests) == reference.run_batch(requests)
-        assert vectorized.entry_count() == reference.entry_count()
-        assert vectorized.snapshot() == reference.snapshot()
+        with observe():
+            batch = tables.evaluate_batch(requests)
+        assert batch == [model.evaluate(*request) for request in requests]
+        expected = {
+            "seq_lat", "seq_cap", "rand_lat", "rand_cap",
+            "tlb_l1", "tlb_l2", "tlb_depth",
+        }
+        if memory.dram_fronted_by_cache:
+            expected |= {"hit_rate", "cap_hit"}
+        assert filled_memos(tables) == expected
+        assert scalar_memo_mismatches(tables) == []
 
     def test_snapshot_prefill_round_trip_is_exact(self):
         machine = knl7210()
@@ -383,7 +393,7 @@ class TestScalarReferenceFill:
             (profile, PlacementMix.pure(Location.DRAM_CACHED), threads)
             for threads in (1, 64, 256)
         ]
-        expected = built.run_batch(requests)
+        expected = built.evaluate_batch(requests)
         # Through the JSON wire format, like the persistent cache does.
         import json
 
@@ -391,4 +401,4 @@ class TestScalarReferenceFill:
         loaded = ModelTables(machine, memory)
         loaded.prefill(payload)
         assert loaded.snapshot() == built.snapshot()
-        assert loaded.run_batch(requests) == expected
+        assert loaded.evaluate_batch(requests) == expected

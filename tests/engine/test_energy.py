@@ -31,8 +31,8 @@ def model():
 class TestEnergyModel:
     def test_hbm_moves_bytes_cheaper(self, model, flat_model):
         prof = stream_profile()
-        dram_run = flat_model.run(prof, PlacementMix.pure(Location.DRAM), 64)
-        hbm_run = flat_model.run(prof, PlacementMix.pure(Location.HBM), 64)
+        dram_run = flat_model.evaluate(prof, PlacementMix.pure(Location.DRAM), 64)
+        hbm_run = flat_model.evaluate(prof, PlacementMix.pure(Location.HBM), 64)
         dram_e = model.estimate(prof, dram_run)
         hbm_e = model.estimate(prof, hbm_run)
         assert hbm_e.dynamic_memory_j < dram_e.dynamic_memory_j
@@ -42,25 +42,25 @@ class TestEnergyModel:
     def test_memory_energy_magnitude(self, model, flat_model):
         """4 GB at 120 pJ/byte = 0.48 J on DDR."""
         prof = stream_profile(4.0)
-        run = flat_model.run(prof, PlacementMix.pure(Location.DRAM), 64)
+        run = flat_model.evaluate(prof, PlacementMix.pure(Location.DRAM), 64)
         estimate = model.estimate(prof, run)
         assert estimate.dynamic_memory_j == pytest.approx(0.48, rel=1e-6)
 
     def test_static_energy_scales_with_time(self, model, flat_model):
         prof = stream_profile()
-        run = flat_model.run(prof, PlacementMix.pure(Location.DRAM), 64)
+        run = flat_model.evaluate(prof, PlacementMix.pure(Location.DRAM), 64)
         estimate = model.estimate(prof, run)
         assert estimate.static_j == pytest.approx(215.0 * run.time_s)
 
     def test_compute_energy(self, model, flat_model):
         prof = stream_profile()
-        run = flat_model.run(prof, PlacementMix.pure(Location.DRAM), 64)
+        run = flat_model.evaluate(prof, PlacementMix.pure(Location.DRAM), 64)
         estimate = model.estimate(prof, run)
         assert estimate.dynamic_compute_j == pytest.approx(1e9 * 20e-12)
 
     def test_edp(self, model, flat_model):
         prof = stream_profile()
-        run = flat_model.run(prof, PlacementMix.pure(Location.DRAM), 64)
+        run = flat_model.evaluate(prof, PlacementMix.pure(Location.DRAM), 64)
         estimate = model.estimate(prof, run)
         assert estimate.edp(run.time_s) == pytest.approx(
             estimate.total_j * run.time_s
@@ -68,7 +68,7 @@ class TestEnergyModel:
 
     def test_cache_mode_pays_probe_energy(self, model, cache_model_pm):
         prof = stream_profile()
-        run = cache_model_pm.run(
+        run = cache_model_pm.evaluate(
             prof, PlacementMix.pure(Location.DRAM_CACHED), 64
         )
         estimate = model.estimate(prof, run)
@@ -92,7 +92,7 @@ class TestEnergyModel:
             "a": PlacementMix.pure(Location.HBM),
             "b": PlacementMix.pure(Location.DRAM),
         }
-        run = flat_model.run(prof, mixes, 64)
+        run = flat_model.evaluate(prof, mixes, 64)
         estimate = model.estimate(prof, run, mixes)
         params = EnergyParameters()
         expected = (
@@ -108,7 +108,7 @@ class TestEnergyModel:
 
     def test_negative_edp_time_rejected(self, model, flat_model):
         prof = stream_profile()
-        run = flat_model.run(prof, PlacementMix.pure(Location.DRAM), 64)
+        run = flat_model.evaluate(prof, PlacementMix.pure(Location.DRAM), 64)
         estimate = model.estimate(prof, run)
         with pytest.raises(ValueError):
             estimate.edp(-1.0)

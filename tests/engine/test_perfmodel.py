@@ -41,7 +41,7 @@ def random_profile(footprint_gb: float = 8.0, mlp: float = 2.0) -> MemoryProfile
 
 
 def achieved_bw(model, mix, threads=64, profile=None):
-    run = model.run(profile or stream_profile(), mix, threads)
+    run = model.evaluate(profile or stream_profile(), mix, threads)
     return run.phase_results[0].achieved_bandwidth
 
 
@@ -75,19 +75,19 @@ class TestStreamCalibration:
 class TestLocationChecks:
     def test_hbm_requires_flat_mode(self, cache_model_pm):
         with pytest.raises(ValueError, match="flat"):
-            cache_model_pm.run(
+            cache_model_pm.evaluate(
                 stream_profile(), PlacementMix.pure(Location.HBM), 64
             )
 
     def test_cached_requires_cache_mode(self, flat_model):
         with pytest.raises(ValueError, match="flat mode"):
-            flat_model.run(
+            flat_model.evaluate(
                 stream_profile(), PlacementMix.pure(Location.DRAM_CACHED), 64
             )
 
     def test_plain_dram_invalid_in_cache_mode(self, cache_model_pm):
         with pytest.raises(ValueError, match="DRAM_CACHED"):
-            cache_model_pm.run(
+            cache_model_pm.evaluate(
                 stream_profile(), PlacementMix.pure(Location.DRAM), 64
             )
 
@@ -95,10 +95,10 @@ class TestLocationChecks:
 class TestRandomPath:
     def test_dram_beats_hbm_at_one_thread_per_core(self, flat_model):
         """The paper's central latency-bound result."""
-        dram = flat_model.run(
+        dram = flat_model.evaluate(
             random_profile(), PlacementMix.pure(Location.DRAM), 64
         )
-        hbm = flat_model.run(
+        hbm = flat_model.evaluate(
             random_profile(), PlacementMix.pure(Location.HBM), 64
         )
         assert dram.time_ns < hbm.time_ns
@@ -110,10 +110,10 @@ class TestRandomPath:
             assert P.latency_gap_min - 0.02 <= h / d - 1 <= P.latency_gap_max + 0.02
 
     def test_hardware_threads_help_random(self, flat_model):
-        t64 = flat_model.run(
+        t64 = flat_model.evaluate(
             random_profile(), PlacementMix.pure(Location.HBM), 64
         ).time_ns
-        t256 = flat_model.run(
+        t256 = flat_model.evaluate(
             random_profile(), PlacementMix.pure(Location.HBM), 256
         ).time_ns
         assert t256 < t64 / 2.0
@@ -121,7 +121,7 @@ class TestRandomPath:
     def test_random_capped_by_device(self, flat_model):
         """With huge MLP the rate pins at the device random cap."""
         prof = random_profile(mlp=16.0)
-        run = flat_model.run(prof, PlacementMix.pure(Location.DRAM), 256)
+        run = flat_model.evaluate(prof, PlacementMix.pure(Location.DRAM), 256)
         cap_lines = flat_model.random_capacity_lines(Location.DRAM, 8 * GB)
         achieved_lines = (
             prof.phases[0].accesses / (run.phase_results[0].time_ns / 1e9)
@@ -131,13 +131,13 @@ class TestRandomPath:
 
 class TestMixedPlacement:
     def test_mix_between_pure_extremes(self, flat_model):
-        pure_dram = flat_model.run(
+        pure_dram = flat_model.evaluate(
             stream_profile(), PlacementMix.pure(Location.DRAM), 64
         ).time_ns
-        pure_hbm = flat_model.run(
+        pure_hbm = flat_model.evaluate(
             stream_profile(), PlacementMix.pure(Location.HBM), 64
         ).time_ns
-        mixed = flat_model.run(
+        mixed = flat_model.evaluate(
             stream_profile(), PlacementMix.of(hbm=0.5, dram=0.5), 64
         ).time_ns
         assert pure_hbm < mixed < pure_dram
@@ -145,7 +145,7 @@ class TestMixedPlacement:
     def test_interleave_bandwidth_can_add(self, flat_model):
         """50/50 interleave overlaps both devices: each serves half the
         bytes, so the total time is half the slower device's full time."""
-        mixed = flat_model.run(
+        mixed = flat_model.evaluate(
             stream_profile(), PlacementMix.of(hbm=0.5, dram=0.5), 64
         )
         # DRAM half dominates: 0.5 * bytes / 77 GB/s.
@@ -167,7 +167,7 @@ class TestComputeSide:
                 ),
             ),
         )
-        run = flat_model.run(prof, PlacementMix.pure(Location.HBM), 128)
+        run = flat_model.evaluate(prof, PlacementMix.pure(Location.HBM), 128)
         r = run.phase_results[0]
         assert r.bottleneck == "compute"
         # 1e12 flops at 0.85 issue efficiency of 2662 GF peak.
@@ -175,7 +175,7 @@ class TestComputeSide:
         assert r.time_ns == pytest.approx(expected_ns, rel=0.01)
 
     def test_memory_bound_phase_reports_memory(self, flat_model):
-        run = flat_model.run(
+        run = flat_model.evaluate(
             stream_profile(), PlacementMix.pure(Location.DRAM), 64
         )
         assert run.phase_results[0].bottleneck == "memory"
@@ -190,13 +190,13 @@ class TestRunResult:
                 Phase("b", AccessPattern.SEQUENTIAL, 2 * GB, footprint_bytes=GB),
             ),
         )
-        run = flat_model.run(prof, PlacementMix.pure(Location.DRAM), 64)
+        run = flat_model.evaluate(prof, PlacementMix.pure(Location.DRAM), 64)
         assert run.time_ns == pytest.approx(
             sum(p.time_ns for p in run.phase_results)
         )
 
     def test_rate_and_gflops(self, flat_model):
-        run = flat_model.run(
+        run = flat_model.evaluate(
             stream_profile(), PlacementMix.pure(Location.DRAM), 64
         )
         assert run.rate_per_s(100.0) == pytest.approx(100.0 / run.time_s)
@@ -208,7 +208,7 @@ class TestRunDescribe:
         from repro.workloads.minife import MiniFE
 
         w = MiniFE.from_matrix_gb(3.6)
-        run = flat_model.run(w.profile(), PlacementMix.pure(Location.HBM), 128)
+        run = flat_model.evaluate(w.profile(), PlacementMix.pure(Location.HBM), 128)
         text = run.describe()
         assert "spmv-stream" in text
         assert "vector-ops" in text

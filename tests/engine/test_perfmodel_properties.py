@@ -47,7 +47,7 @@ class TestTimePositivity:
     @settings(max_examples=50, deadline=None)
     def test_time_positive_and_finite(self, traffic, footprint, pattern, threads):
         prof = profile(traffic, footprint, pattern)
-        run = FLAT.run(prof, PlacementMix.pure(Location.DRAM), threads)
+        run = FLAT.evaluate(prof, PlacementMix.pure(Location.DRAM), threads)
         assert 0 < run.time_ns < float("inf")
 
 
@@ -58,7 +58,7 @@ class TestMonotonicity:
         small = profile(1.0, footprint, pattern)
         large = profile(2.0, footprint, pattern)
         mix = PlacementMix.pure(Location.DRAM)
-        assert FLAT.run(small, mix, threads).time_ns <= FLAT.run(
+        assert FLAT.evaluate(small, mix, threads).time_ns <= FLAT.evaluate(
             large, mix, threads
         ).time_ns
 
@@ -70,8 +70,8 @@ class TestMonotonicity:
         if footprint > 16.0:
             footprint = 8.0
         prof = profile(traffic, footprint, AccessPattern.SEQUENTIAL)
-        hbm = FLAT.run(prof, PlacementMix.pure(Location.HBM), 64)
-        dram = FLAT.run(prof, PlacementMix.pure(Location.DRAM), 64)
+        hbm = FLAT.evaluate(prof, PlacementMix.pure(Location.HBM), 64)
+        dram = FLAT.evaluate(prof, PlacementMix.pure(Location.DRAM), 64)
         assert hbm.time_ns <= dram.time_ns * 1.0001
 
     @given(traffic_st, st.floats(min_value=0.5, max_value=14.0))
@@ -86,8 +86,8 @@ class TestMonotonicity:
         ~0.5 GB both devices are bank-limited and MCDRAM's extra banks
         win — a regime outside the paper's measurements, so excluded.)"""
         prof = profile(traffic, footprint, AccessPattern.RANDOM)
-        dram = FLAT.run(prof, PlacementMix.pure(Location.DRAM), 64)
-        hbm = FLAT.run(prof, PlacementMix.pure(Location.HBM), 64)
+        dram = FLAT.evaluate(prof, PlacementMix.pure(Location.DRAM), 64)
+        hbm = FLAT.evaluate(prof, PlacementMix.pure(Location.HBM), 64)
         if footprint >= 2.0:
             assert dram.time_ns <= hbm.time_ns * 1.0001
         else:
@@ -100,7 +100,7 @@ class TestMonotonicity:
             footprint = 10.0
         prof = profile(10.0, footprint, AccessPattern.SEQUENTIAL)
         mix = PlacementMix.pure(Location.HBM)
-        times = [FLAT.run(prof, mix, t).time_ns for t in (64, 128, 192, 256)]
+        times = [FLAT.evaluate(prof, mix, t).time_ns for t in (64, 128, 192, 256)]
         for earlier, later in zip(times, times[1:]):
             assert later <= earlier * 1.0001
 
@@ -117,15 +117,15 @@ class TestMixInterpolation:
         self, hbm_fraction, traffic, footprint, pattern
     ):
         prof = profile(traffic, footprint, pattern)
-        pure_d = FLAT.run(prof, PlacementMix.pure(Location.DRAM), 64).time_ns
-        pure_h = FLAT.run(prof, PlacementMix.pure(Location.HBM), 64).time_ns
+        pure_d = FLAT.evaluate(prof, PlacementMix.pure(Location.DRAM), 64).time_ns
+        pure_h = FLAT.evaluate(prof, PlacementMix.pure(Location.HBM), 64).time_ns
         if hbm_fraction == 0.0:
             mix = PlacementMix.pure(Location.DRAM)
         elif hbm_fraction == 1.0:
             mix = PlacementMix.pure(Location.HBM)
         else:
             mix = PlacementMix.of(hbm=hbm_fraction, dram=1.0 - hbm_fraction)
-        mixed = FLAT.run(prof, mix, 64).time_ns
+        mixed = FLAT.evaluate(prof, mix, 64).time_ns
         lo, hi = sorted((pure_d, pure_h))
         # Overlapped devices can beat both extremes (bandwidth adds) but
         # can never be slower than the slower pure placement.
@@ -139,9 +139,9 @@ class TestCacheModeBounds:
         """Sequential working sets well inside MCDRAM: cache mode is
         slower than flat HBM (protocol overhead) but faster than DRAM."""
         prof = profile(traffic, footprint, AccessPattern.SEQUENTIAL)
-        cached = CACHE.run(
+        cached = CACHE.evaluate(
             prof, PlacementMix.pure(Location.DRAM_CACHED), 64
         ).time_ns
-        dram = FLAT.run(prof, PlacementMix.pure(Location.DRAM), 64).time_ns
-        hbm = FLAT.run(prof, PlacementMix.pure(Location.HBM), 64).time_ns
+        dram = FLAT.evaluate(prof, PlacementMix.pure(Location.DRAM), 64).time_ns
+        hbm = FLAT.evaluate(prof, PlacementMix.pure(Location.HBM), 64).time_ns
         assert hbm <= cached <= dram

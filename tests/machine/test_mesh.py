@@ -8,6 +8,7 @@ from repro.machine.mesh import ClusterMode, Mesh2D
 from repro.machine.tile import Tile
 from repro.machine.presets import knl7210, knl7250
 from repro.util.units import MiB
+from tests.oracles.mesh import average_hop_distance_permutation
 
 
 class TestTile:
@@ -83,7 +84,7 @@ class TestClosedFormHopDistance:
             mesh = registry.build(key).mesh
             assert (
                 mesh.average_hop_distance()
-                == mesh.average_hop_distance_permutation()
+                == average_hop_distance_permutation(mesh)
             ), key
 
     def test_matches_permutation_with_partial_last_row(self):
@@ -91,7 +92,7 @@ class TestClosedFormHopDistance:
             mesh = small_mesh(n=n, rows=4, cols=3)
             assert (
                 mesh.average_hop_distance()
-                == mesh.average_hop_distance_permutation()
+                == average_hop_distance_permutation(mesh)
             ), n
 
     @settings(max_examples=60, deadline=None)
@@ -105,7 +106,7 @@ class TestClosedFormHopDistance:
         mesh = small_mesh(n=n, rows=rows, cols=cols)
         assert (
             mesh.average_hop_distance()
-            == mesh.average_hop_distance_permutation()
+            == average_hop_distance_permutation(mesh)
         )
 
     def test_derived_latencies_use_cached_average(self):

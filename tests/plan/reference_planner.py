@@ -2,11 +2,12 @@
 
 :func:`per_item_candidates` is the fan-out as the planner ran it before
 spec deduplication: one query, resolve, prediction and energy estimate
-per (item, machine, config).  :func:`rescanning_local_search` is the
-local search before its early exit: every round scans every candidate
-of every item.  :class:`ReferencePlanner` solves with both, so any
-difference from :class:`~repro.plan.planner.CapacityPlanner` is a
-regression of the optimized paths.
+per (item, machine, config).  :func:`rescanning_local_search` is a
+best-improvement local search whose every round scans every candidate
+of every item.  :class:`ReferencePlanner` solves with both — greedy,
+then the rescanning search — so any difference from
+:class:`~repro.plan.planner.CapacityPlanner` is a regression of the
+optimized fan-out or a move the planner's greedy alone misses.
 """
 
 from __future__ import annotations
@@ -17,7 +18,11 @@ from repro.api.errors import ValidationError
 from repro.api.facade import sized_workload
 from repro.api.plan import PlanRequest
 from repro.api.types import PredictionResult, Query
-from repro.plan.planner import _MAX_SEARCH_ROUNDS, CapacityPlanner, _Candidate
+from repro.plan.planner import CapacityPlanner, _Candidate
+
+#: Hard ceiling on search improvement rounds (each round applies the
+#: single best improving move).
+_MAX_SEARCH_ROUNDS = 256
 
 
 def per_item_candidates(
@@ -122,4 +127,11 @@ class ReferencePlanner(CapacityPlanner):
     """The planner with both reference paths swapped in."""
 
     _candidates = per_item_candidates
-    _local_search = rescanning_local_search
+
+    def _greedy(
+        self,
+        request: PlanRequest,
+        per_item: Sequence[Sequence[_Candidate]],
+    ) -> list[_Candidate]:
+        chosen = super()._greedy(request, per_item)
+        return rescanning_local_search(self, request, per_item, chosen)

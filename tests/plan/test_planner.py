@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,7 +26,7 @@ from repro.api.plan import (
 )
 from repro.api.types import Query
 from repro.plan import CapacityPlanner, check_plan, plan_request
-from tests.plan.reference_planner import ReferencePlanner, rescanning_local_search
+from tests.plan.reference_planner import ReferencePlanner
 
 MIX = (
     TrafficItem(workload="dgemm", size_gb=12.0, num_threads=64, weight=0.001),
@@ -400,57 +399,3 @@ class TestDeduplicatedFanOut:
         assert len(calls) == request.candidate_count() // 4
         assert len(result.assignments) == 4 * len(MIX)
 
-
-def _worst_fit_start(planner, request, per_item):
-    """A feasible but poor start: each item takes its most expensive
-    candidate that still fits."""
-    remaining = {entry.machine: float(entry.nodes) for entry in request.pool}
-    chosen = []
-    for options in per_item:
-        candidate = next(
-            c for c in reversed(options)
-            if planner._fits(c.load_nodes, remaining[c.machine])
-        )
-        remaining[candidate.machine] -= candidate.load_nodes
-        chosen.append(candidate)
-    return chosen
-
-
-class _WorstFitPlanner(CapacityPlanner):
-    _greedy = _worst_fit_start
-
-
-class _WorstFitReference(CapacityPlanner):
-    _greedy = _worst_fit_start
-    _local_search = rescanning_local_search
-
-
-class TestLocalSearchEarlyExit:
-    """Stopping an item's scan at its first non-improving candidate
-    returns what the full rescan returns.  (From the greedy's own output
-    no single move ever fits, so the search starts from a worst-fit
-    assignment, where moves do happen.)"""
-
-    @pytest.mark.parametrize("objective", ["runtime", "energy"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_the_rescanning_loop(self, predictor, seed, objective):
-        rng = random.Random(seed)
-        mix = tuple(
-            TrafficItem(*rng.choice(SPECS[:6]), round(rng.uniform(0.2, 2.0), 3))
-            for _ in range(24)
-        )
-        planner = CapacityPlanner(predictor)
-        unconstrained = planner.plan(
-            PlanRequest(mix=mix, pool=_pool("loose", 0.0), objective=objective)
-        )
-        load = sum(a.load_nodes for a in unconstrained.assignments)
-        request = PlanRequest(mix=mix, pool=_pool("tight", load), objective=objective)
-        per_item = planner._candidates(request)
-        start = _worst_fit_start(planner, request, per_item)
-        final = planner._local_search(request, per_item, list(start))
-        assert sum(a is not b for a, b in zip(start, final)) > 0
-        reference = rescanning_local_search(planner, request, per_item, list(start))
-        assert all(a is b for a, b in zip(final, reference))
-        served = _canonical(_WorstFitPlanner(predictor), request)
-        assert served == _canonical(_WorstFitReference(predictor), request)
-        assert not served.startswith("infeasible")
