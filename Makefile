@@ -18,6 +18,7 @@ test: docs-check
 # CLI flag must be mentioned in README.md or docs/.
 docs-check:
 	python tools/check_docs.py
+	python tools/check_imports.py
 
 # Regenerate every exhibit under full invariant checking (repro.checks):
 # run-, sweep- and exhibit-scope physics audits; non-zero exit on any
@@ -25,10 +26,9 @@ docs-check:
 check:
 	python -m repro check
 
-# Tier-1 suite through the process-pool executor, plus a no-cacheprovider
-# smoke job (catches accidental reliance on pytest's cache plugin).
+# A no-cacheprovider smoke job (catches accidental reliance on pytest's
+# cache plugin).
 test-fast:
-	REPRO_JOBS=4 REPRO_EXECUTOR=processes pytest tests/ -x -q
 	pytest tests/test_package.py tests/core/test_executor.py -q -p no:cacheprovider
 
 bench:

@@ -7,8 +7,6 @@ to isolate how much of the drop is conflicts (recoverable) vs capacity
 (not).
 """
 
-import pytest
-
 from repro.core.configs import ConfigName, make_config
 from repro.core.sweep import size_sweep
 from repro.util.tables import TextTable

@@ -6,8 +6,6 @@ jumps once per-node sub-problems fit the 16 GB HBM — the paper's
 HBM capacity".
 """
 
-import pytest
-
 from repro.core.configs import ConfigName
 from repro.core.decomposition import hbm_knee, sweep_node_counts
 from repro.util.tables import TextTable

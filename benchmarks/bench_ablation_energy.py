@@ -7,8 +7,6 @@ latency-bound one DRAM's shorter runtime wins total energy even though
 HBM moves bytes more cheaply.
 """
 
-import pytest
-
 from repro.core.report import energy_comparison
 from repro.core.configs import ConfigName
 from repro.core.runner import ExperimentRunner

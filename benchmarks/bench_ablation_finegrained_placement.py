@@ -9,10 +9,8 @@ For problems whose *matrix* fits HBM but whose total does not, this beats
 every coarse configuration.
 """
 
-import pytest
-
 from repro.engine.perfmodel import PerformanceModel
-from repro.engine.placement import Location, PlacementMix
+from repro.engine.placement import PlacementMix
 from repro.memory.allocator import Kind
 from repro.memory.modes import MCDRAMConfig
 from repro.runtime.simos import SimulatedOS

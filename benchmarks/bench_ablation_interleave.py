@@ -9,8 +9,6 @@ configuration is feasible, and its bandwidth lands between DRAM and HBM
 (both devices serve their page share concurrently).
 """
 
-import pytest
-
 from repro.core.configs import ConfigName, make_config
 from repro.core.runner import ExperimentRunner
 from repro.util.tables import TextTable

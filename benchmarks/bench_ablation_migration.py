@@ -11,8 +11,6 @@ pages into HBM per epoch.  The study contrasts the two access classes:
   paper's static DRAM binding remains right.
 """
 
-import pytest
-
 from repro.memory.migration import (
     MigrationPolicy,
     simulate_migration,

@@ -3,8 +3,6 @@
 Shape: HBM ~2x DRAM wherever it fits; missing at 24 GB; cache in between.
 """
 
-import pytest
-
 from repro.figures.fig4 import generate_a
 
 

@@ -7,8 +7,6 @@ DDR4's) inverts the random-access DRAM preference, because that
 preference is *caused* by HBM's higher latency.
 """
 
-import pytest
-
 from repro.core.sensitivity import SensitivityAnalysis
 from repro.util.tables import TextTable
 

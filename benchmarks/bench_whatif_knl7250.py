@@ -7,8 +7,6 @@ conclusion (HBM for sequential, DRAM for random, SMT rescuing HBM) must
 survive the machine change.
 """
 
-import pytest
-
 from repro.core.configs import ConfigName
 from repro.engine.batch import BatchEvaluator
 from repro.machine.presets import knl7250

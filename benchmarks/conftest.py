@@ -19,9 +19,9 @@ OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 @pytest.fixture(scope="session")
 def runner():
-    """Serial runner by default; set REPRO_JOBS / REPRO_EXECUTOR /
-    REPRO_CACHE_DIR to regenerate exhibits through the parallel,
-    memoizing executor (outputs are byte-identical either way)."""
+    """Plain runner by default; set REPRO_CACHE_DIR to regenerate
+    exhibits through the memoizing executor (outputs are byte-identical
+    either way)."""
     return executor_from_env(ExperimentRunner())
 
 

@@ -11,8 +11,6 @@ Run:  python examples/memory_mode_study.py
 
 from repro import (
     AccessPattern,
-    ConfigName,
-    ExperimentRunner,
     MemoryProfile,
     PerformanceModel,
     Phase,

@@ -38,7 +38,6 @@ Quickstart::
 
 from repro.core import (
     ConfigName,
-    ExecutionStrategy,
     ExperimentRunner,
     PlacementAdvisor,
     ResultSet,
@@ -69,7 +68,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "ConfigName",
-    "ExecutionStrategy",
     "ExperimentRunner",
     "SweepExecutor",
     "PlacementAdvisor",

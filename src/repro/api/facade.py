@@ -112,9 +112,9 @@ class Predictor:
     ``runner`` (an :class:`~repro.core.runner.ExperimentRunner`,
     :class:`~repro.checks.checker.CheckingRunner` or an existing
     :class:`~repro.core.executor.SweepExecutor`) seeds the executor for
-    its own machine preset; other presets get a fresh serial executor on
-    first use.  Serial executors dispatch multi-cell misses through the
-    columnar batch engine automatically.
+    its own machine preset; other presets get a fresh executor on first
+    use.  Executors dispatch multi-cell misses through the columnar
+    batch engine automatically.
     """
 
     def __init__(
@@ -136,7 +136,7 @@ class Predictor:
         self.cache_dir = cache_dir
         self.table_cache_dir = table_cache_dir
         # Guards the executor table only.  Evaluation stays single-thread
-        # by contract, but stats()/close() legitimately read the table
+        # by contract, but stats() legitimately reads the table
         # from *other* threads (the service's /metrics path aggregates
         # worker predictors), and an unguarded dict being grown by
         # executor() mid-iteration raises "dictionary changed size
@@ -289,10 +289,6 @@ class Predictor:
             table_cache_misses=sum(s.table_cache_misses for s in totals),
             table_cache_stores=sum(s.table_cache_stores for s in totals),
         )
-
-    def close(self) -> None:
-        for executor in self._executor_snapshot():
-            executor.close()
 
 
 def compare_configs(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.checks.checker import CheckingRunner, check_exhibit
 from repro.checks.invariants import Violation
-from repro.core.executor import ExecutionStrategy, SweepExecutor
+from repro.core.executor import SweepExecutor
 from repro.core.runner import ExperimentRunner
 from repro.figures import EXHIBITS
 from repro.machine.topology import KNLMachine
@@ -81,8 +81,6 @@ def check_exhibits(
     exhibit_ids: "tuple[str, ...] | None" = None,
     *,
     machine: KNLMachine | None = None,
-    jobs: int = 1,
-    strategy: "ExecutionStrategy | str | None" = None,
     cache_dir: "str | os.PathLike[str] | None" = None,
 ) -> BatchReport:
     """Regenerate exhibits under full invariant checking.
@@ -100,25 +98,23 @@ def check_exhibits(
     violations: list[Violation] = []
     runner = CheckingRunner(ExperimentRunner(machine), collect=violations)
     checks: list[ExhibitCheck] = []
-    with SweepExecutor(
-        runner, jobs=jobs, strategy=strategy, cache_dir=cache_dir
-    ) as executor:
-        for exhibit_id in ids:
-            generate = EXHIBITS[exhibit_id]
-            seen_violations = len(violations)
-            seen_evaluated = runner.invariants_evaluated
-            try:
-                exhibit = generate(executor)  # type: ignore[call-arg]
-            except TypeError:
-                exhibit = generate()  # table generators take no runner
-            report = check_exhibit(exhibit)
-            runner.handle_report(report)
-            checks.append(
-                ExhibitCheck(
-                    exhibit_id=exhibit_id,
-                    evaluated=runner.invariants_evaluated - seen_evaluated,
-                    violations=tuple(violations[seen_violations:]),
-                    rendered=exhibit.render(),
-                )
+    executor = SweepExecutor(runner, cache_dir=cache_dir)
+    for exhibit_id in ids:
+        generate = EXHIBITS[exhibit_id]
+        seen_violations = len(violations)
+        seen_evaluated = runner.invariants_evaluated
+        try:
+            exhibit = generate(executor)  # type: ignore[call-arg]
+        except TypeError:
+            exhibit = generate()  # table generators take no runner
+        report = check_exhibit(exhibit)
+        runner.handle_report(report)
+        checks.append(
+            ExhibitCheck(
+                exhibit_id=exhibit_id,
+                evaluated=runner.invariants_evaluated - seen_evaluated,
+                violations=tuple(violations[seen_violations:]),
+                rendered=exhibit.render(),
             )
+        )
     return BatchReport(tuple(checks))

@@ -19,9 +19,7 @@ Violation handling is one of three policies:
 
 * ``raise`` (default) — throw :class:`InvariantViolation`,
 * ``warn`` — print each violation to stderr and continue,
-* a ``collect`` list — append and continue (the batch checker's mode;
-  only meaningful with the serial/threads strategies, as a process-pool
-  worker's list never travels back).
+* a ``collect`` list — append and continue (the batch checker's mode).
 """
 
 from __future__ import annotations
@@ -198,8 +196,7 @@ class CheckingRunner:
     :class:`~repro.core.executor.SweepExecutor` and its runner — or can
     be used directly.  Each run executes inside a metrics window (see
     :mod:`repro.checks.window`), which serializes checked runs within a
-    process; the ``processes`` sweep strategy still checks in parallel,
-    one window per worker.
+    process.
 
     Parameters
     ----------
@@ -226,17 +223,6 @@ class CheckingRunner:
         self.invariants_evaluated = 0
         self.violation_count = 0
         self.evaluated_names: set[str] = set()
-        self._lock = threading.Lock()
-
-    # The lock must not travel to process-pool workers (it cannot be
-    # pickled); each worker rebuilds its own.
-    def __getstate__(self) -> dict[str, Any]:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     # -- runner compatibility -------------------------------------------------

@@ -14,8 +14,7 @@ temporarily installs a private registry for the duration of the run and
 uninstalls it afterwards — checking works identically with or without
 ``--trace-out``/``--metrics-out``.  A module-level lock serializes
 windowed runs within one process (two concurrent runs would blend their
-deltas); under the ``processes`` sweep strategy each worker has its own
-lock and registry, so checked sweeps still parallelize across processes.
+deltas).
 """
 
 from __future__ import annotations

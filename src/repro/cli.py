@@ -4,7 +4,7 @@ Usage::
 
     knl-hybridmem list
     knl-hybridmem fig2
-    knl-hybridmem --jobs 4 --cache-dir ~/.cache/knl-hybridmem all
+    knl-hybridmem --cache-dir ~/.cache/knl-hybridmem all
     knl-hybridmem --trace-out fig4c.trace.json --metrics-out fig4c.json fig4c
     knl-hybridmem advisor minife --size-gb 7.2 --threads 128
     knl-hybridmem describe
@@ -31,7 +31,7 @@ from typing import Any
 from repro import obs
 from repro.checks.checker import InvariantViolation, check_mode_from_env
 from repro.core.advisor import PlacementAdvisor
-from repro.core.executor import ExecutionStrategy, SweepExecutor
+from repro.core.executor import SweepExecutor
 from repro.core.runner import ExperimentRunner
 from repro.figures import EXHIBITS
 from repro.machine import registry
@@ -47,19 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "Reproduce the tables and figures of 'Exploring the Performance "
             "Benefit of Hybrid Memory System on HPC Environments'"
         ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker count for sweep execution (default 1: serial)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=[s.value for s in ExecutionStrategy],
-        default=None,
-        help="sweep strategy (default: serial, or threads when --jobs > 1)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -474,8 +461,6 @@ def _run_warmup(args: argparse.Namespace, *, machines=None) -> int:
 def _build_executor(args: argparse.Namespace) -> SweepExecutor:
     return SweepExecutor(
         ExperimentRunner(_machine(args)),
-        jobs=args.jobs,
-        strategy=args.executor,
         cache_dir=args.cache_dir,
         table_cache_dir=args.table_cache,
         profile_hooks=getattr(args, "profile_hooks", ()),
@@ -484,8 +469,8 @@ def _build_executor(args: argparse.Namespace) -> SweepExecutor:
 
 
 def _report_stats(executor: SweepExecutor) -> None:
-    """Cache/parallelism accounting on stderr (stdout carries exhibits)."""
-    if executor.jobs > 1 or executor.cache.cache_dir is not None:
+    """Cache accounting on stderr (stdout carries exhibits)."""
+    if executor.cache.cache_dir is not None:
         print(f"[executor] {executor.stats().describe()}", file=sys.stderr)
 
 
@@ -764,8 +749,6 @@ def _run_plan(args: argparse.Namespace) -> int:
     except ApiError as exc:
         print(f"[plan] {exc.code}: {exc}", file=sys.stderr)
         return 1
-    finally:
-        predictor.close()
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
         return 0
@@ -911,13 +894,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.core.placement_optimizer import PlacementOptimizer
 
         workload = FROM_GB[args.workload](args.size_gb)
-        with _build_executor(args) as executor:
-            print("coarse configurations:")
-            for config in ConfigName.paper_trio():
-                record = executor.run(workload, config, args.threads)
-                value = "-" if record.metric is None else f"{record.metric:.4g}"
-                print(f"  {config.value:<12} {value}")
-            _report_stats(executor)
+        executor = _build_executor(args)
+        print("coarse configurations:")
+        for config in ConfigName.paper_trio():
+            record = executor.run(workload, config, args.threads)
+            value = "-" if record.metric is None else f"{record.metric:.4g}"
+            print(f"  {config.value:<12} {value}")
+        _report_stats(executor)
         best = PlacementOptimizer().optimize(workload, num_threads=args.threads)
         print(f"optimized per-structure placement: {best.metric:.4g}")
         print(f"  {best.describe()}")
@@ -985,39 +968,35 @@ def _dispatch(args: argparse.Namespace) -> int:
     if command == "check":
         from repro.checks.batch import check_exhibits
 
-        report = check_exhibits(
-            jobs=args.jobs,
-            strategy=args.executor,
-            cache_dir=args.cache_dir,
-        )
+        report = check_exhibits(cache_dir=args.cache_dir)
         print(report.render())
         return 0 if report.ok else 1
     if command == "report":
         from repro.core.report import generate_report
 
-        with _build_executor(args) as executor:
-            print(generate_report(executor).render())
-            _report_stats(executor)
+        executor = _build_executor(args)
+        print(generate_report(executor).render())
+        _report_stats(executor)
         return 0
     if command == "all":
-        with _build_executor(args) as executor:
-            for exhibit_id, generate in EXHIBITS.items():
-                try:
-                    exhibit = generate(executor)  # type: ignore[call-arg]
-                except TypeError:
-                    exhibit = generate()  # table generators take no runner
-                print(exhibit.render())
-                print()
-            _report_stats(executor)
+        executor = _build_executor(args)
+        for generate in EXHIBITS.values():
+            try:
+                exhibit = generate(executor)  # type: ignore[call-arg]
+            except TypeError:
+                exhibit = generate()  # table generators take no runner
+            print(exhibit.render())
+            print()
+        _report_stats(executor)
         return 0
     generate = EXHIBITS[command]
-    with _build_executor(args) as executor:
-        try:
-            exhibit = generate(executor)  # type: ignore[call-arg]
-        except TypeError:
-            exhibit = generate()
-        print(exhibit.render())
-        _report_stats(executor)
+    executor = _build_executor(args)
+    try:
+        exhibit = generate(executor)  # type: ignore[call-arg]
+    except TypeError:
+        exhibit = generate()
+    print(exhibit.render())
+    _report_stats(executor)
     return 0
 
 

@@ -26,7 +26,6 @@ from repro.core.configs import (
 )
 from repro.core.runner import ExperimentRunner, RunRecord
 from repro.core.executor import (
-    ExecutionStrategy,
     ExecutorStats,
     RunCache,
     SweepCell,
@@ -34,7 +33,6 @@ from repro.core.executor import (
     as_executor,
     cache_key,
     executor_from_env,
-    ordered_map,
 )
 from repro.core.results import ResultSet, Series
 from repro.core.sweep import resolve_configs, size_sweep, thread_sweep
@@ -68,7 +66,6 @@ __all__ = [
     "make_config",
     "ExperimentRunner",
     "RunRecord",
-    "ExecutionStrategy",
     "ExecutorStats",
     "RunCache",
     "SweepCell",
@@ -76,7 +73,6 @@ __all__ = [
     "as_executor",
     "cache_key",
     "executor_from_env",
-    "ordered_map",
     "ResultSet",
     "Series",
     "resolve_configs",

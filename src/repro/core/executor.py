@@ -1,16 +1,15 @@
-"""Parallel sweep execution with a content-addressed run cache.
+"""Sweep execution with a content-addressed run cache.
 
 Every figure in the paper is a sweep — problem size x threads x the three
 memory configurations — and every sweep cell is a pure function of
 (machine preset, workload parameters, configuration, thread count).  This
 module exploits both facts:
 
-* :class:`SweepExecutor` runs batches of cells through one of three
-  strategies — ``serial`` (the historical in-order loop), ``threads``
-  (a shared :class:`~concurrent.futures.ThreadPoolExecutor`) or
-  ``processes`` (a :class:`~concurrent.futures.ProcessPoolExecutor`;
-  cells are pickled to workers) — while always returning records in
-  submission order, so results are byte-identical to the serial path;
+* :class:`SweepExecutor` runs batches of cells through one dispatch:
+  cache lookups first, then the misses as one columnar
+  :class:`~repro.engine.batch.BatchEvaluator` call when the batch is
+  eligible, else as an in-order loop over the runner — always returning
+  records in submission order;
 * every cell is keyed by :func:`cache_key`, a SHA-256 over a canonical
   JSON encoding of the machine fingerprint, the workload identity and
   parameters, the resolved configuration and the thread count.  Records
@@ -33,11 +32,9 @@ import pathlib
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any, TypeVar
+from typing import Any
 
 from repro.checks.checker import CheckingRunner, CheckMode, check_mode_from_env
 from repro.core.configs import ConfigName, SystemConfig, make_config
@@ -53,30 +50,6 @@ from repro.obs.profiling import CellProfile, ProfileHook
 from repro.util.fileio import replace_text
 from repro.workloads.base import Workload
 
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-class ExecutionStrategy(Enum):
-    """How a batch of sweep cells is dispatched."""
-
-    SERIAL = "serial"
-    THREADS = "threads"
-    PROCESSES = "processes"
-    BATCH = "batch"
-
-    @classmethod
-    def parse(cls, value: "ExecutionStrategy | str") -> "ExecutionStrategy":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).lower())
-        except ValueError:
-            options = ", ".join(s.value for s in cls)
-            raise ValueError(
-                f"unknown execution strategy {value!r}; expected one of {options}"
-            ) from None
-
 
 @dataclass(frozen=True)
 class SweepCell:
@@ -91,16 +64,10 @@ class SweepCell:
 class ExecutorStats:
     """Cumulative cache counters for one :class:`SweepExecutor`.
 
-    Counters accumulate in the **submitting process** under every
-    strategy: cache lookups happen before dispatch and results are
-    memoized on return, so worker threads and worker processes never
-    carry executor state.  ``--jobs N`` therefore reports one aggregate
-    — identical for ``serial``, ``threads`` and ``processes`` on the
-    same batch sequence (``tests/core/test_executor.py::
-    TestStatsConsistencyAcrossStrategies``).  Counter updates are
-    lock-protected, so concurrent ``run_cells`` calls through the
-    ``threads`` strategy (e.g. the sensitivity analysis fanning out over
-    one shared executor) never lose increments.
+    Counter updates and reads are lock-protected, so :meth:`SweepExecutor.
+    stats` may be called from any thread (the serving layer's
+    ``/metrics`` path aggregates its workers' executors) while another
+    thread runs cells.
     """
 
     hits: int
@@ -110,17 +77,16 @@ class ExecutorStats:
     #: Miss batches that went through the columnar evaluator, and the
     #: constituent cells they covered.  A coalesced batch of N cells
     #: counts N in ``batched_cells`` (and N in ``misses``/``executed``
-    #: like any other miss), never 1 — per-cell accounting is identical
-    #: across strategies, which is why these two stay out of equality
-    #: comparisons (``compare=False``): the serial strategy is
-    #: batch-eligible while multi-job thread/process pools are not.
+    #: like any other miss), never 1.  These stay out of equality
+    #: comparisons (``compare=False``): which path served a miss is
+    #: unobservable in the records, so two runs of the same cells
+    #: compare equal whether or not they were batched.
     batches: int = field(default=0, compare=False)
     batched_cells: int = field(default=0, compare=False)
     #: Persistent-table-cache traffic (loads answered from disk, misses
     #: that rebuilt, snapshots written), populated only when a table
     #: cache is configured.  Excluded from equality for the same reason
-    #: as the batch counters: only batch-eligible strategies touch the
-    #: table cache.
+    #: as the batch counters: only batched misses touch the table cache.
     table_cache_hits: int = field(default=0, compare=False)
     table_cache_misses: int = field(default=0, compare=False)
     table_cache_stores: int = field(default=0, compare=False)
@@ -369,17 +335,10 @@ class RunCache:
             self._lru.popitem(last=False)
 
 
-# -- worker entry point (must be module-level for process pickling) -----------
+# -- the scalar path -----------------------------------------------------------
 
 def _run_cell(runner: ExperimentRunner, cell: SweepCell) -> tuple[RunRecord, int]:
-    """Evaluate one cell, returning the record and its wall time (ns).
-
-    Under the ``threads`` strategy the ``executor.cell`` span runs on the
-    worker thread, so traces show cells stacked per pool lane; under
-    ``processes`` the worker has its own (normally disabled) observability
-    state and only the submitting process's executor-level activity is
-    traced.
-    """
+    """Evaluate one cell, returning the record and its wall time (ns)."""
     start = time.perf_counter_ns()
     with obs_trace.span(
         "executor.cell",
@@ -400,40 +359,27 @@ def _run_cell(runner: ExperimentRunner, cell: SweepCell) -> tuple[RunRecord, int
 # -- the executor -------------------------------------------------------------
 
 class SweepExecutor:
-    """Runs sweep cells through a strategy, memoizing by content hash.
+    """Runs sweep cells in the calling thread, memoizing by content hash.
 
     Duck-compatible with :class:`ExperimentRunner` for the read paths the
     figures use (``run`` and ``machine``), so any generator that accepts a
-    runner accepts an executor.
-
-    ``strategy`` defaults to ``serial`` when ``jobs == 1`` and
-    ``threads`` otherwise.  Record order out of :meth:`run_cells` always
-    equals submission order, whatever the strategy.
+    runner accepts an executor.  Record order out of :meth:`run_cells`
+    always equals submission order.
     """
 
     def __init__(
         self,
         runner: "ExperimentRunner | CheckingRunner | None" = None,
         *,
-        jobs: int = 1,
-        strategy: ExecutionStrategy | str | None = None,
         cache_size: int = 4096,
         cache_dir: str | os.PathLike[str] | None = None,
         table_cache_dir: str | os.PathLike[str] | None = None,
         profile_hooks: Sequence[ProfileHook] = (),
         check: "CheckMode | str | None" = None,
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.runner = runner if runner is not None else ExperimentRunner()
         if check is not None and not isinstance(self.runner, CheckingRunner):
             self.runner = CheckingRunner(self.runner, mode=check)
-        self.jobs = jobs
-        if strategy is None:
-            strategy = (
-                ExecutionStrategy.SERIAL if jobs == 1 else ExecutionStrategy.THREADS
-            )
-        self.strategy = ExecutionStrategy.parse(strategy)
         self.cache = RunCache(cache_size, cache_dir)
         # Built ModelTables persist beside run results: with an on-disk
         # run cache at <cache_dir>, tables default to <cache_dir>/tables
@@ -444,7 +390,6 @@ class SweepExecutor:
             TableCache(table_cache_dir) if table_cache_dir is not None else None
         )
         self.profile_hooks: list[ProfileHook] = list(profile_hooks)
-        self._pool: Executor | None = None
         self._batch_evaluator: BatchEvaluator | None = None
         self._stats_lock = threading.Lock()
         self._hits = 0
@@ -488,7 +433,7 @@ class SweepExecutor:
 
         Cells are first deduplicated by cache key (a duplicate inside the
         batch counts as a hit and is evaluated once), then the remaining
-        misses are dispatched through the configured strategy.
+        misses go through :meth:`_execute`.
         """
         results: list[RunRecord | None] = [None] * len(cells)
         cached_flags = [True] * len(cells)
@@ -498,11 +443,7 @@ class SweepExecutor:
         batch_hits = batch_misses = 0
         with obs_trace.span(
             "executor.run_cells",
-            tags=(
-                {"cells": len(cells), "strategy": self.strategy.value}
-                if obs_trace.enabled()
-                else None
-            ),
+            tags={"cells": len(cells)} if obs_trace.enabled() else None,
         ):
             for i, cell in enumerate(cells):
                 key = self.cache_key(cell)
@@ -594,19 +535,10 @@ class SweepExecutor:
     def _execute(
         self, cells: Sequence[SweepCell]
     ) -> list[tuple[RunRecord, int]]:
-        if not cells:
-            return []
+        """Evaluate the misses of one batch, in order."""
         if self._batch_eligible(cells):
             return self._execute_batch(cells)
-        if (
-            self.strategy is ExecutionStrategy.SERIAL
-            or self.jobs == 1
-            or len(cells) == 1
-        ):
-            return [_run_cell(self.runner, cell) for cell in cells]
-        pool = self._ensure_pool()
-        futures = [pool.submit(_run_cell, self.runner, cell) for cell in cells]
-        return [f.result() for f in futures]
+        return [_run_cell(self.runner, cell) for cell in cells]
 
     def _batch_eligible(self, cells: Sequence[SweepCell]) -> bool:
         """Whether a miss batch can go through the columnar evaluator.
@@ -614,21 +546,11 @@ class SweepExecutor:
         The batch path produces bit-identical records but aggregates
         observability (one ``batch.evaluate`` span instead of per-cell
         ``executor.cell`` / ``perfmodel.run`` spans), so it only engages
-        where per-cell dispatch semantics are not part of the contract:
-        a plain :class:`ExperimentRunner` (a :class:`CheckingRunner`
-        needs the per-run hook), at least two cells, and a serial-ish
-        dispatch (the ``threads``/``processes`` strategies with
-        ``jobs > 1`` keep per-cell spans stacked on pool lanes).
+        where per-cell dispatch is not part of the contract: a plain
+        :class:`ExperimentRunner` (a :class:`CheckingRunner` needs its
+        per-run hook) and at least two cells.
         """
-        return (
-            self.checking is None
-            and len(cells) >= 2
-            and type(self.runner) is ExperimentRunner
-            and (
-                self.strategy in (ExecutionStrategy.SERIAL, ExecutionStrategy.BATCH)
-                or self.jobs == 1
-            )
-        )
+        return len(cells) >= 2 and type(self.runner) is ExperimentRunner
 
     def _execute_batch(
         self, cells: Sequence[SweepCell]
@@ -651,18 +573,10 @@ class SweepExecutor:
             obs_metrics.add("executor.batched_cells", float(len(cells)))
         return [(record, per_cell_ns) for record in records]
 
-    def _ensure_pool(self) -> Executor:
-        if self._pool is None:
-            if self.strategy is ExecutionStrategy.PROCESSES:
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-            else:
-                self._pool = ThreadPoolExecutor(max_workers=self.jobs)
-        return self._pool
-
     # -- bookkeeping ----------------------------------------------------------
     def stats(self) -> ExecutorStats:
-        """One aggregate over everything this executor ran, whatever the
-        strategy (see :class:`ExecutorStats` for the exact semantics)."""
+        """One aggregate over everything this executor ran (see
+        :class:`ExecutorStats` for the exact semantics)."""
         with self._stats_lock:
             tables = self.table_cache
             return ExecutorStats(
@@ -687,22 +601,11 @@ class SweepExecutor:
                 self.table_cache.misses = 0
                 self.table_cache.stores = 0
 
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "SweepExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
 
 def as_executor(
     runner: "ExperimentRunner | CheckingRunner | SweepExecutor",
 ) -> SweepExecutor:
-    """Wrap a plain runner in a serial executor; pass executors through."""
+    """Wrap a plain runner in an executor; pass executors through."""
     if isinstance(runner, SweepExecutor):
         return runner
     return SweepExecutor(runner)
@@ -712,46 +615,23 @@ def executor_from_env(
     runner: ExperimentRunner | None = None,
     env: Mapping[str, str] | None = None,
 ) -> "ExperimentRunner | SweepExecutor":
-    """Wrap ``runner`` per the ``REPRO_JOBS`` / ``REPRO_EXECUTOR`` /
-    ``REPRO_CACHE_DIR`` / ``REPRO_TABLE_CACHE`` / ``REPRO_CHECK``
-    environment variables; unchanged when none are set.
+    """Wrap ``runner`` per the ``REPRO_CACHE_DIR`` / ``REPRO_TABLE_CACHE``
+    / ``REPRO_CHECK`` environment variables; unchanged when none are set.
 
     This is how the test and benchmark harnesses opt whole suites into
-    parallel execution (e.g. ``make test-fast``) or invariant checking
-    without touching call sites.
+    a persistent cache or invariant checking without touching call sites.
     """
     env = env if env is not None else os.environ
-    jobs = env.get("REPRO_JOBS", "").strip()
-    strategy = env.get("REPRO_EXECUTOR", "").strip()
     cache_dir = env.get("REPRO_CACHE_DIR", "").strip()
     table_cache_dir = env.get("REPRO_TABLE_CACHE", "").strip()
     check = check_mode_from_env(env)
     base = runner if runner is not None else ExperimentRunner()
-    if not (jobs or strategy or cache_dir or table_cache_dir or check):
+    if not (cache_dir or table_cache_dir or check):
         return base
     return SweepExecutor(
         base,
-        jobs=int(jobs) if jobs else 1,
-        strategy=strategy or None,
         cache_dir=cache_dir or None,
         table_cache_dir=table_cache_dir or None,
         check=check,
     )
 
-
-def ordered_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    *,
-    jobs: int = 1,
-) -> list[R]:
-    """Apply ``fn`` over ``items`` preserving order, optionally in a
-    thread pool (used by flows whose work units are closures and so
-    cannot cross a process boundary, e.g. the sensitivity analysis)."""
-    items = list(items)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))

@@ -65,7 +65,7 @@ class ExperimentRunner:
         boot per configuration serves every subsequent run.  The cache is
         thread-local because the OS allocator is mutated during a run
         (``allocation_scope`` restores it afterwards, but not atomically),
-        so threads-strategy executors must not share instances.
+        so two threads running through one runner must not share them.
 
         Machine safety: one runner binds exactly one ``self.machine`` for
         its lifetime and every booted OS is built from it, so interleaving
@@ -82,17 +82,6 @@ class ExperimentRunner:
             entry = (sim_os, PerformanceModel(self.machine, sim_os.memory))
             cache[config.mcdram] = entry
         return entry
-
-    def __getstate__(self) -> dict[str, Any]:
-        # Process-pool workers pickle the runner; the boot cache is
-        # per-process scratch state and is rebuilt on first use.
-        state = self.__dict__.copy()
-        del state["_local"]
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._local = threading.local()
 
     def _infeasible(
         self, workload: Workload, config: SystemConfig, threads: int, reason: str

@@ -223,39 +223,26 @@ class SensitivityAnalysis:
         self,
         perturbations: Sequence[PerturbedDevices] | None = None,
         conclusions: Sequence[ConclusionCheck] | None = None,
-        *,
-        jobs: int = 1,
     ) -> list[SensitivityResult]:
-        """Evaluate every (perturbation, conclusion) cell.
-
-        ``jobs > 1`` spreads perturbations over a thread pool (the
-        predicates are closures, so a process pool cannot be used);
-        result order is perturbation-major regardless of ``jobs``.
-        """
-        perturbations = (
-            list(perturbations)
-            if perturbations is not None
-            else default_perturbations()
-        )
+        """Evaluate every (perturbation, conclusion) cell, in
+        perturbation-major order."""
+        if perturbations is None:
+            perturbations = default_perturbations()
         conclusion_list = (
             list(conclusions) if conclusions is not None else paper_conclusions()
         )
-
-        def evaluate(devices: PerturbedDevices) -> list[SensitivityResult]:
+        results = []
+        for devices in perturbations:
             metric = self._metric_function(devices)
-            return [
+            results.extend(
                 SensitivityResult(
                     perturbation=devices.label,
                     conclusion=check.name,
                     holds=bool(check.predicate(metric)),
                 )
                 for check in conclusion_list
-            ]
-
-        from repro.core.executor import ordered_map
-
-        chunks = ordered_map(evaluate, perturbations, jobs=jobs)
-        return [result for chunk in chunks for result in chunk]
+            )
+        return results
 
     @staticmethod
     def flipped(results: list[SensitivityResult]) -> list[SensitivityResult]:

@@ -3,9 +3,9 @@
 * :func:`size_sweep` — problem size at fixed threads (Fig. 2, Fig. 4),
 * :func:`thread_sweep` — OpenMP threads at fixed size (Fig. 5, Fig. 6).
 
-Both accept either a plain :class:`ExperimentRunner` (executed serially,
-the historical behaviour) or a :class:`~repro.core.executor.SweepExecutor`
-(parallel strategies + the content-addressed run cache).  Record order is
+Both accept either a plain :class:`ExperimentRunner` (wrapped in a
+private executor) or a :class:`~repro.core.executor.SweepExecutor` (the
+content-addressed run cache plus batch dispatch).  Record order is
 identical either way: x-major, configuration-minor.
 """
 

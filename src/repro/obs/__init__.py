@@ -20,7 +20,7 @@ Entry points:
 * library — ``with obs.observe() as session: ...; session.write(...)``;
 * CLI — ``python -m repro --trace-out t.json --metrics-out m.json fig4c``;
 * environment — ``REPRO_TRACE=1`` (plus ``REPRO_TRACE_OUT`` /
-  ``REPRO_METRICS_OUT``), the observability analogue of ``REPRO_JOBS``.
+  ``REPRO_METRICS_OUT``).
 
 Enabling observability never changes a reported number: instrumentation
 only reads model state, and the golden-identity test

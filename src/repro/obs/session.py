@@ -19,13 +19,7 @@ Exports:
 
 Environment wiring: :func:`observation_from_env` honours ``REPRO_TRACE``
 (truthy values enable; ``0``/``false``/``off``/empty keep the no-op fast
-path) plus ``REPRO_TRACE_OUT`` / ``REPRO_METRICS_OUT`` for export paths,
-mirroring how ``REPRO_JOBS`` opts suites into the parallel executor.
-
-Sessions observe the **calling process**: with the executor's
-``processes`` strategy the model evaluations happen in workers, so only
-executor/cache-level activity is visible.  Use ``serial`` or ``threads``
-when a full-depth trace is wanted (``docs/OBSERVABILITY.md``).
+path) plus ``REPRO_TRACE_OUT`` / ``REPRO_METRICS_OUT`` for export paths.
 """
 
 from __future__ import annotations

@@ -121,10 +121,7 @@ def measure_plan(
     details: dict[str, Any] = {}
     for fleet_size in fleet_sizes:
         predictor = Predictor(table_cache_dir=table_cache_dir)
-        try:
-            row = _solve_timed(CapacityPlanner(predictor), fleet_size)
-        finally:
-            predictor.close()
+        row = _solve_timed(CapacityPlanner(predictor), fleet_size)
         latency_ms[str(fleet_size)] = row["latency_ms"]
         details[str(fleet_size)] = row
     return {

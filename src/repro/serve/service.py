@@ -156,8 +156,6 @@ class PredictionService(RequestPipeline):
             await self._coalescer.drain(self.config.drain_timeout_s)
         await self._coalescer.stop()
         self._pool.shutdown(wait=True)
-        for predictor in self._tracked_predictors():
-            predictor.close()
         self._pool = None
         self._state = "stopped"
 

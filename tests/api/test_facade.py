@@ -28,9 +28,7 @@ from repro.workloads.registry import FROM_GB
 
 @pytest.fixture(scope="module")
 def predictor():
-    p = Predictor()
-    yield p
-    p.close()
+    return Predictor()
 
 
 class TestScalarIdentity:
@@ -58,7 +56,6 @@ class TestScalarIdentity:
         oracle = Predictor()
         for query, result in zip(queries, batched):
             assert result == oracle.predict(query)
-        oracle.close()
 
     def test_predict_grid_equals_expanded_many(self, predictor):
         grid = QueryGrid(
@@ -147,7 +144,6 @@ class TestExecutorStats:
         after = predictor.stats()
         assert after.batches == 1
         assert after.hits == len(queries)
-        predictor.close()
 
 
 class TestCompareConfigs:
@@ -204,7 +200,6 @@ class TestExecutorTableThreadSafety:
             assert not thread.is_alive()
         assert errors == []
         assert len(predictor._executor_snapshot()) == len(names)
-        predictor.close()
 
     def test_concurrent_executor_creation_yields_one_instance(self):
         predictor = Predictor()
@@ -225,4 +220,3 @@ class TestExecutorTableThreadSafety:
             thread.join(timeout=120)
         assert len(seen) == 4
         assert all(executor is seen[0] for executor in seen)
-        predictor.close()

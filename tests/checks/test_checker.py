@@ -125,6 +125,32 @@ def test_collect_mode_accumulates_without_raising(failing_invariant):
     assert runner.runs_checked == 2
 
 
+def test_check_exhibits_reports_every_run_scope_violation(failing_invariant):
+    """Every model run of a checked exhibit reaches the report: a
+    run-scope invariant that always fires yields exactly one violation
+    per distinct cell the exhibit evaluates."""
+    from repro.checks.batch import check_exhibits
+    from repro.figures import EXHIBITS
+
+    counting = SweepExecutor(ExperimentRunner())
+    EXHIBITS["fig2"](counting)
+    model_runs = counting.stats().executed
+    assert model_runs > 0
+    report = check_exhibits(("fig2",))
+    fired = [
+        v for v in report.checks[0].violations if v.invariant == failing_invariant
+    ]
+    assert len(fired) == model_runs
+    assert not report.ok
+
+
+def test_check_command_fails_on_a_violation(failing_invariant, capsys):
+    from repro.cli import main
+
+    assert main(["check"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 # -- observability composition ------------------------------------------------
 
 
@@ -183,27 +209,23 @@ def test_check_mode_is_part_of_the_cache_key():
 
 def test_checked_session_never_reuses_unchecked_disk_cache(tmp_path):
     workload = FROM_GB["gups"](1.0)
-    with SweepExecutor(ExperimentRunner(), cache_dir=tmp_path) as unchecked:
-        unchecked.run(workload, ConfigName.DRAM, 64)
-        assert unchecked.stats().executed == 1
+    unchecked = SweepExecutor(ExperimentRunner(), cache_dir=tmp_path)
+    unchecked.run(workload, ConfigName.DRAM, 64)
+    assert unchecked.stats().executed == 1
     # Same disk cache, unchecked again: served from disk.
-    with SweepExecutor(ExperimentRunner(), cache_dir=tmp_path) as again:
-        again.run(workload, ConfigName.DRAM, 64)
-        assert again.stats().executed == 0
+    again = SweepExecutor(ExperimentRunner(), cache_dir=tmp_path)
+    again.run(workload, ConfigName.DRAM, 64)
+    assert again.stats().executed == 0
     # Same disk cache, checking on: the unchecked record must not satisfy
     # the lookup — the cell re-executes under audit.
-    with SweepExecutor(
-        ExperimentRunner(), cache_dir=tmp_path, check="raise"
-    ) as checked:
-        checked.run(workload, ConfigName.DRAM, 64)
-        assert checked.stats().executed == 1
-        assert checked.checking.runs_checked == 1
+    checked = SweepExecutor(ExperimentRunner(), cache_dir=tmp_path, check="raise")
+    checked.run(workload, ConfigName.DRAM, 64)
+    assert checked.stats().executed == 1
+    assert checked.checking.runs_checked == 1
     # And the checked record now persists under its own key.
-    with SweepExecutor(
-        ExperimentRunner(), cache_dir=tmp_path, check="raise"
-    ) as warm:
-        warm.run(workload, ConfigName.DRAM, 64)
-        assert warm.stats().executed == 0
+    warm = SweepExecutor(ExperimentRunner(), cache_dir=tmp_path, check="raise")
+    warm.run(workload, ConfigName.DRAM, 64)
+    assert warm.stats().executed == 0
 
 
 def test_executor_from_env_reads_repro_check():

@@ -25,14 +25,14 @@ def battery():
     """One collecting checker driven across all three scopes."""
     violations = []
     runner = CheckingRunner(collect=violations)
-    with SweepExecutor(runner) as executor:
-        # Sequential workload across the capacity boundary: streaming
-        # ordering, byte conservation, cache accounting, capacity laws.
-        size_sweep(executor, FROM_GB["minife"], [4.0, 34.0], num_threads=64)
-        # Random workload: TLB accounting and the DRAM preference.
-        size_sweep(executor, FROM_GB["gups"], [1.0, 20.0], num_threads=64)
-        # Thread axis: unimodal scaling.
-        thread_sweep(executor, FROM_GB["gups"](1.0), [64, 128, 256])
+    executor = SweepExecutor(runner)
+    # Sequential workload across the capacity boundary: streaming
+    # ordering, byte conservation, cache accounting, capacity laws.
+    size_sweep(executor, FROM_GB["minife"], [4.0, 34.0], num_threads=64)
+    # Random workload: TLB accounting and the DRAM preference.
+    size_sweep(executor, FROM_GB["gups"], [1.0, 20.0], num_threads=64)
+    # Thread axis: unimodal scaling.
+    thread_sweep(executor, FROM_GB["gups"](1.0), [64, 128, 256])
     # Exhibit scope: the latency figure carries both exhibit invariants.
     generate = EXHIBITS["fig3"]
     try:

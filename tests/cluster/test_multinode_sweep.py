@@ -24,8 +24,7 @@ NODE_COUNTS = [2, 4, 8, 16]
 
 @pytest.fixture(scope="module")
 def executor():
-    with SweepExecutor(ExperimentRunner(), check="raise") as ex:
-        yield ex
+    return SweepExecutor(ExperimentRunner(), check="raise")
 
 
 @pytest.fixture(scope="module")

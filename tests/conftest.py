@@ -69,7 +69,6 @@ def cache_os():
 @pytest.fixture(scope="session")
 def runner(machine):
     """The experiment runner — wrapped in a SweepExecutor when the
-    REPRO_JOBS / REPRO_EXECUTOR / REPRO_CACHE_DIR environment variables
-    are set (``make test-fast`` runs the suite through the process
-    pool this way)."""
+    REPRO_CACHE_DIR / REPRO_TABLE_CACHE / REPRO_CHECK environment
+    variables are set."""
     return executor_from_env(ExperimentRunner(machine))

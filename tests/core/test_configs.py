@@ -1,7 +1,5 @@
 """Configuration tests."""
 
-import pytest
-
 from repro.core.configs import ConfigName, make_config, standard_configs
 from repro.memory.modes import MemoryMode
 

@@ -1,4 +1,4 @@
-"""SweepExecutor tests: cache keys, memoization, strategies, stats."""
+"""SweepExecutor tests: cache keys, memoization, dispatch, stats."""
 
 import json
 import threading
@@ -7,14 +7,12 @@ import pytest
 
 from repro.core.configs import ConfigName, make_config
 from repro.core.executor import (
-    ExecutionStrategy,
     RunCache,
     SweepCell,
     SweepExecutor,
     as_executor,
     cache_key,
     executor_from_env,
-    ordered_map,
     record_from_json,
     record_to_json,
 )
@@ -156,18 +154,6 @@ class TestSweepExecutor:
         stats = executor.stats()
         assert stats.misses == 1 and stats.hits == 2 and stats.executed == 1
 
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError):
-            SweepExecutor(jobs=0)
-
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            SweepExecutor(strategy="gpu")
-
-    def test_strategy_defaults(self):
-        assert SweepExecutor().strategy is ExecutionStrategy.SERIAL
-        assert SweepExecutor(jobs=4).strategy is ExecutionStrategy.THREADS
-
     def test_as_executor_passthrough(self, machine):
         executor = SweepExecutor(ExperimentRunner(machine))
         assert as_executor(executor) is executor
@@ -190,37 +176,6 @@ def _sweep(executor) -> list:
     return [record for _, record in rs.records]
 
 
-class TestDeterminismUnderParallelism:
-    """Same sweep through jobs=1, thread jobs=4 and process jobs=4 must
-    yield identical RunRecord sequences and identical cache keys."""
-
-    @pytest.fixture(scope="class")
-    def serial_records(self, machine):
-        return _sweep(SweepExecutor(ExperimentRunner(machine), jobs=1))
-
-    @pytest.mark.parametrize("strategy", ["threads", "processes"])
-    def test_records_identical(self, machine, serial_records, strategy):
-        with SweepExecutor(
-            ExperimentRunner(machine), jobs=4, strategy=strategy
-        ) as executor:
-            assert _sweep(executor) == serial_records
-
-    @pytest.mark.parametrize("strategy", ["serial", "threads", "processes"])
-    def test_cache_keys_identical(self, machine, strategy):
-        executor = SweepExecutor(
-            ExperimentRunner(machine), jobs=4, strategy=strategy
-        )
-        cells = [
-            SweepCell(_stream(gb), config, 64)
-            for gb in SWEEP_SIZES
-            for config in (DRAM, HBM, CACHE)
-        ]
-        keys = [executor.cache_key(cell) for cell in cells]
-        baseline = SweepExecutor(ExperimentRunner(machine))
-        assert keys == [baseline.cache_key(cell) for cell in cells]
-        executor.close()
-
-
 class TestCacheHitRate:
     def test_repeated_sweep_hits_above_90_percent(self, machine):
         executor = SweepExecutor(ExperimentRunner(machine))
@@ -238,6 +193,18 @@ class TestCacheHitRate:
             _sweep(executor)
         assert executor.stats().hit_rate > 0.9
 
+    def test_counts_are_complete(self, machine):
+        # Every lookup is either a hit or a miss; every miss executed.
+        executor = SweepExecutor(ExperimentRunner(machine))
+        _sweep(executor)
+        _sweep(executor)  # second pass: all memory-cache hits
+        stats = executor.stats()
+        assert stats.hits + stats.misses > 0
+        assert stats.executed == stats.misses
+        assert stats.hit_rate == pytest.approx(
+            stats.hits / (stats.hits + stats.misses)
+        )
+
     def test_disk_cache_survives_restart(self, machine, tmp_path):
         first = SweepExecutor(ExperimentRunner(machine), cache_dir=tmp_path)
         warm = _sweep(first)
@@ -247,71 +214,10 @@ class TestCacheHitRate:
         assert stats.executed == 0 and stats.hit_rate == 1.0
 
 
-class TestStatsConsistencyAcrossStrategies:
-    """The documented `ExecutorStats` aggregation contract: counters
-    accumulate in the submitting process under *every* strategy, so the
-    same batch sequence reports identical stats whether cells ran
-    serially, on a thread pool or across a process pool — `--jobs N`
-    hit rates are directly comparable."""
-
-    def _run_batches(self, machine, strategy):
-        with SweepExecutor(
-            ExperimentRunner(machine), jobs=4, strategy=strategy
-        ) as executor:
-            _sweep(executor)
-            _sweep(executor)  # second pass: all memory-cache hits
-            stats = executor.stats()
-        return stats
-
-    @pytest.fixture(scope="class")
-    def serial_stats(self, machine):
-        return self._run_batches(machine, "serial")
-
-    @pytest.mark.parametrize("strategy", ["threads", "processes"])
-    def test_identical_to_serial(self, machine, serial_stats, strategy):
-        stats = self._run_batches(machine, strategy)
-        assert (
-            stats.hits,
-            stats.misses,
-            stats.disk_hits,
-            stats.executed,
-        ) == (
-            serial_stats.hits,
-            serial_stats.misses,
-            serial_stats.disk_hits,
-            serial_stats.executed,
-        )
-        assert stats.hit_rate == serial_stats.hit_rate
-
-    def test_counts_are_complete(self, serial_stats):
-        # Every lookup is either a hit or a miss; every miss executed.
-        assert serial_stats.hits + serial_stats.misses > 0
-        assert serial_stats.executed == serial_stats.misses
-        assert serial_stats.hit_rate == pytest.approx(
-            serial_stats.hits / (serial_stats.hits + serial_stats.misses)
-        )
-
-
 class TestExecutorFromEnv:
     def test_no_env_returns_runner(self, machine):
         runner = ExperimentRunner(machine)
         assert executor_from_env(runner, env={}) is runner
-
-    def test_jobs_env_wraps(self, machine):
-        wrapped = executor_from_env(
-            ExperimentRunner(machine), env={"REPRO_JOBS": "3"}
-        )
-        assert isinstance(wrapped, SweepExecutor)
-        assert wrapped.jobs == 3
-        assert wrapped.strategy is ExecutionStrategy.THREADS
-
-    def test_strategy_env(self, machine):
-        wrapped = executor_from_env(
-            ExperimentRunner(machine),
-            env={"REPRO_JOBS": "2", "REPRO_EXECUTOR": "processes"},
-        )
-        assert wrapped.strategy is ExecutionStrategy.PROCESSES
-        wrapped.close()
 
     def test_cache_dir_env(self, machine, tmp_path):
         wrapped = executor_from_env(
@@ -319,34 +225,3 @@ class TestExecutorFromEnv:
         )
         assert isinstance(wrapped, SweepExecutor)
         assert wrapped.cache.cache_dir == tmp_path
-
-
-class TestOrderedMap:
-    def test_preserves_order(self):
-        items = list(range(20))
-        assert ordered_map(lambda x: x * x, items, jobs=4) == [
-            x * x for x in items
-        ]
-
-    def test_serial_path(self):
-        assert ordered_map(str, [1, 2], jobs=1) == ["1", "2"]
-
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError):
-            ordered_map(str, [1], jobs=0)
-
-
-class TestSensitivityParallel:
-    def test_jobs_do_not_change_results(self, machine):
-        from repro.core.sensitivity import (
-            SensitivityAnalysis,
-            default_perturbations,
-            paper_conclusions,
-        )
-
-        analysis = SensitivityAnalysis(machine)
-        perturbations = default_perturbations()[:3]
-        conclusions = paper_conclusions()[:2]
-        serial = analysis.run(perturbations, conclusions, jobs=1)
-        threaded = analysis.run(perturbations, conclusions, jobs=3)
-        assert serial == threaded

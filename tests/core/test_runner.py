@@ -4,7 +4,6 @@ import pytest
 
 from repro.api import compare_configs
 from repro.core.configs import ConfigName, make_config
-from repro.core.runner import ExperimentRunner
 from repro.workloads.dgemm import DGEMM
 from repro.workloads.gups import GUPS
 from repro.workloads.stream import StreamBenchmark

@@ -98,10 +98,12 @@ class TestSweepThroughExecutor:
         from repro.core.runner import ExperimentRunner
 
         factory = lambda gb: StreamBenchmark(size_bytes=int(gb * 1e9))
-        serial = size_sweep(ExperimentRunner(machine), factory, [2.0, 20.0])
-        with SweepExecutor(ExperimentRunner(machine), jobs=2) as executor:
-            parallel = size_sweep(executor, factory, [2.0, 20.0])
-        assert [r for _, r in serial.records] == [r for _, r in parallel.records]
+        plain = size_sweep(ExperimentRunner(machine), factory, [2.0, 20.0])
+        executor = SweepExecutor(ExperimentRunner(machine))
+        via_executor = size_sweep(executor, factory, [2.0, 20.0])
+        assert [r for _, r in plain.records] == [
+            r for _, r in via_executor.records
+        ]
 
 
 class TestThreadSweep:

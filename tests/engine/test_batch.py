@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.configs import ConfigName, make_config
-from repro.core.executor import ExecutionStrategy, SweepCell, SweepExecutor
+from repro.core.executor import SweepCell, SweepExecutor
 from repro.core.runner import ExperimentRunner
 from repro.engine.batch import BatchEvaluator, ModelTables
 from repro.engine.perfmodel import PerformanceModel
@@ -185,19 +185,16 @@ class TestRunBatch:
 
 
 class TestExecutorBatchPath:
-    def test_batch_strategy_parses(self):
-        assert ExecutionStrategy.parse("batch") is ExecutionStrategy.BATCH
-
     def test_executor_records_identical_to_forced_scalar(self, grid):
         cells = [SweepCell(w, c, t) for w, c, t in grid]
-        with SweepExecutor(ExperimentRunner()) as batched:
-            via_batch = batched.run_cells(cells)
-        # jobs=2 + threads strategy is excluded from the batch gate and
-        # dispatches per cell through the historical path.
-        with SweepExecutor(
-            ExperimentRunner(), jobs=2, strategy="threads"
-        ) as scalar:
-            via_scalar = scalar.run_cells(cells)
+        batched = SweepExecutor(ExperimentRunner())
+        via_batch = batched.run_cells(cells)
+        assert batched.stats().batches == 1
+        # One-cell batches are excluded from the batch gate and dispatch
+        # through the scalar loop.
+        scalar = SweepExecutor(ExperimentRunner())
+        via_scalar = [scalar.run_cells([cell])[0] for cell in cells]
+        assert scalar.stats().batched_cells == 0
         assert via_batch == via_scalar
 
     def test_single_cell_uses_scalar_path(self):
@@ -215,13 +212,6 @@ class TestExecutorBatchPath:
             for c in ConfigName.paper_trio()
         ]
         assert not executor._batch_eligible(cells)
-
-    def test_env_selects_batch_strategy(self, monkeypatch):
-        from repro.core.executor import executor_from_env
-
-        monkeypatch.setenv("REPRO_EXECUTOR", "batch")
-        executor = executor_from_env(ExperimentRunner())
-        assert executor.strategy is ExecutionStrategy.BATCH
 
 
 class TestBatchObservability:

@@ -4,7 +4,6 @@ fall out of the engine."""
 import pytest
 
 from repro.engine.calibration import PAPER_CHARACTERIZATION as P
-from repro.engine.perfmodel import PerformanceModel
 from repro.engine.placement import Location, PlacementMix
 from repro.engine.profilephase import AccessPattern, MemoryProfile, Phase
 from repro.util.units import GB, GiB

@@ -1,6 +1,5 @@
 """Property-based invariants of the performance model."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.perfmodel import PerformanceModel

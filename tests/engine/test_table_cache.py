@@ -235,38 +235,32 @@ class TestCrossMachineIsolation:
 
 class TestExecutorWiring:
     def test_cache_dir_implies_tables_subdirectory(self, tmp_path):
-        with SweepExecutor(ExperimentRunner(), cache_dir=tmp_path) as ex:
-            assert ex.table_cache is not None
-            assert ex.table_cache.directory == tmp_path / "tables"
+        ex = SweepExecutor(ExperimentRunner(), cache_dir=tmp_path)
+        assert ex.table_cache is not None
+        assert ex.table_cache.directory == tmp_path / "tables"
 
     def test_stats_surface_and_warm_restart(self, tmp_path):
         cells = [SweepCell(w, c, t) for w, c, t in small_grid()]
-        with SweepExecutor(
-            ExperimentRunner(), table_cache_dir=tmp_path
-        ) as cold:
-            cold_records = cold.run_cells(cells)
-            assert cold.stats().table_cache_stores == len(TRIO)
-            assert cold.stats().table_cache_misses == len(TRIO)
+        cold = SweepExecutor(ExperimentRunner(), table_cache_dir=tmp_path)
+        cold_records = cold.run_cells(cells)
+        assert cold.stats().table_cache_stores == len(TRIO)
+        assert cold.stats().table_cache_misses == len(TRIO)
         # A new executor over the same directory models a restarted
         # process: tables load instead of rebuilding, results match.
-        with SweepExecutor(
-            ExperimentRunner(), table_cache_dir=tmp_path
-        ) as warm:
-            assert warm.run_cells(cells) == cold_records
-            assert warm.stats().table_cache_hits == len(TRIO)
-            assert warm.stats().table_cache_misses == 0
+        warm = SweepExecutor(ExperimentRunner(), table_cache_dir=tmp_path)
+        assert warm.run_cells(cells) == cold_records
+        assert warm.stats().table_cache_hits == len(TRIO)
+        assert warm.stats().table_cache_misses == 0
 
     def test_reset_stats_zeroes_table_counters(self, tmp_path):
         cells = [SweepCell(w, c, t) for w, c, t in small_grid((0.5,))]
-        with SweepExecutor(
-            ExperimentRunner(), table_cache_dir=tmp_path
-        ) as ex:
-            ex.run_cells(cells)
-            ex.reset_stats()
-            stats = ex.stats()
-            assert stats.table_cache_hits == 0
-            assert stats.table_cache_misses == 0
-            assert stats.table_cache_stores == 0
+        ex = SweepExecutor(ExperimentRunner(), table_cache_dir=tmp_path)
+        ex.run_cells(cells)
+        ex.reset_stats()
+        stats = ex.stats()
+        assert stats.table_cache_hits == 0
+        assert stats.table_cache_misses == 0
+        assert stats.table_cache_stores == 0
 
     def test_executor_from_env_reads_table_cache_var(self, tmp_path):
         ex = executor_from_env(env={"REPRO_TABLE_CACHE": str(tmp_path)})

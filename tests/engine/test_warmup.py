@@ -61,29 +61,26 @@ class TestPrewarmTables:
         predictor = Predictor(
             machine="knl7210", table_cache_dir=str(tmp_path)
         )
-        try:
-            # Queries inside the prewarm grid's coverage (its sizes start
-            # at 0.5 GB and step 0.15, over minife/gups x the paper trio
-            # x the thread ladder).
-            queries = [
-                Query(
-                    workload=workload,
-                    size_gb=size,
-                    config=config,
-                    num_threads=64,
-                )
-                for workload in ("minife", "gups")
-                for size in (0.5, 0.65)
-                for config in ("DRAM", "HBM", "Cache Mode")
-            ]
-            results = predictor.predict_many(queries)
-            assert len(results) == len(queries)
-            stats = predictor.stats()
-            assert stats.table_cache_misses == 0
-            assert stats.table_cache_stores == 0
-            assert stats.table_cache_hits > 0
-        finally:
-            predictor.close()
+        # Queries inside the prewarm grid's coverage (its sizes start
+        # at 0.5 GB and step 0.15, over minife/gups x the paper trio
+        # x the thread ladder).
+        queries = [
+            Query(
+                workload=workload,
+                size_gb=size,
+                config=config,
+                num_threads=64,
+            )
+            for workload in ("minife", "gups")
+            for size in (0.5, 0.65)
+            for config in ("DRAM", "HBM", "Cache Mode")
+        ]
+        results = predictor.predict_many(queries)
+        assert len(results) == len(queries)
+        stats = predictor.stats()
+        assert stats.table_cache_misses == 0
+        assert stats.table_cache_stores == 0
+        assert stats.table_cache_hits > 0
 
     def test_observability_counters_and_span(self, tmp_path):
         session = obs.Observation().start()

@@ -2,7 +2,7 @@
 
 Renders every exhibit and diffs it against the checked-in
 ``benchmarks/output/<id>.txt`` dumps (modulo trailing whitespace), so a
-performance refactor — parallel execution, caching, engine rework —
+performance refactor — caching, batch dispatch, engine rework —
 cannot silently change the numbers the reproduction reports for the
 paper.  Regenerate the goldens with ``pytest benchmarks/`` after an
 *intentional* model change.
@@ -54,15 +54,16 @@ def test_every_exhibit_has_a_golden():
 
 
 def test_parallel_executor_matches_goldens(machine):
-    """The acceptance check: fig2 and fig6a through the thread-pool
-    executor are byte-identical to the checked-in serial outputs."""
+    """The acceptance check: fig2 and fig6a through an explicit executor
+    (cache plus batch dispatch) are byte-identical to the checked-in
+    outputs."""
     from repro.core.executor import SweepExecutor
     from repro.core.runner import ExperimentRunner
     from repro.figures.fig2 import generate as fig2
     from repro.figures.fig6 import generate_a as fig6a
 
-    with SweepExecutor(ExperimentRunner(machine), jobs=4) as executor:
-        for exhibit_id, generate in (("fig2", fig2), ("fig6a", fig6a)):
-            golden = (GOLDEN_DIR / f"{exhibit_id}.txt").read_text()
-            assert generate(executor).render() + "\n" == golden
-        assert executor.stats().executed > 0
+    executor = SweepExecutor(ExperimentRunner(machine))
+    for exhibit_id, generate in (("fig2", fig2), ("fig6a", fig6a)):
+        golden = (GOLDEN_DIR / f"{exhibit_id}.txt").read_text()
+        assert generate(executor).render() + "\n" == golden
+    assert executor.stats().executed > 0

@@ -135,11 +135,11 @@ class TestExecutorInstrumentation:
     def test_cell_profiles_delivered_in_submission_order(self):
         collector = obs.CellProfileCollector()
         with obs.observe():
-            with SweepExecutor(
+            executor = SweepExecutor(
                 ExperimentRunner(), profile_hooks=[collector]
-            ) as executor:
-                executor.run_cells(self._cells())
-                executor.run_cells(self._cells())  # second pass: all cached
+            )
+            executor.run_cells(self._cells())
+            executor.run_cells(self._cells())  # second pass: all cached
         profiles = collector.profiles
         assert len(profiles) == 4
         assert [p.cached for p in profiles] == [False, False, True, True]
@@ -159,9 +159,11 @@ class TestExecutorInstrumentation:
 
     def test_executor_metrics_and_spans(self):
         with obs.observe() as session:
-            with SweepExecutor(ExperimentRunner(), jobs=2) as executor:
-                executor.run_cells(self._cells())
-                executor.run_cells(self._cells())
+            # A checking runner keeps per-cell dispatch (the batch gate
+            # wants a plain runner), so every executed cell gets a span.
+            executor = SweepExecutor(ExperimentRunner(), check="warn")
+            executor.run_cells(self._cells())
+            executor.run_cells(self._cells())
         registry = session.metrics
         assert registry.counter_value("executor.cache_misses") == 2
         assert registry.counter_value("executor.cache_hits") == 2

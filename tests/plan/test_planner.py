@@ -41,9 +41,7 @@ POOL = (
 
 @pytest.fixture(scope="module")
 def predictor():
-    predictor = Predictor()
-    yield predictor
-    predictor.close()
+    return Predictor()
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,6 @@ from repro.api import (
     Predictor,
     Query,
     QueryGrid,
-    SchemaVersionError,
     ValidationError,
 )
 from repro.api.types import SCHEMA_VERSION, SUPPORTED_SCHEMA_VERSIONS
@@ -39,9 +38,7 @@ def client(server):
 
 @pytest.fixture(scope="module")
 def oracle():
-    predictor = Predictor()
-    yield predictor
-    predictor.close()
+    return Predictor()
 
 
 class TestPredict:

@@ -38,9 +38,7 @@ def _queries() -> list[Query]:
 
 @pytest.fixture(scope="module")
 def oracle():
-    predictor = Predictor()
-    yield predictor
-    predictor.close()
+    return Predictor()
 
 
 def _deployment(

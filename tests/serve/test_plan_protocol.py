@@ -57,11 +57,7 @@ def client(server):
 
 @pytest.fixture(scope="module")
 def direct():
-    predictor = Predictor()
-    try:
-        yield CapacityPlanner(predictor).plan(REQUEST)
-    finally:
-        predictor.close()
+    return CapacityPlanner(Predictor()).plan(REQUEST)
 
 
 class TestPlanRoundTrip:

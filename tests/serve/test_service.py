@@ -119,7 +119,6 @@ class TestCoalescingIdentity:
         for query, envelope in zip(QUERIES, envelopes):
             served = envelope["results"][0]
             assert served == oracle.predict(query).to_dict()
-        oracle.close()
 
     def test_grid_request_matches_expanded_singles(self):
         grid = {
@@ -142,7 +141,6 @@ class TestCoalescingIdentity:
             for c in ("DRAM", "HBM")
         ]
         assert envelope["results"] == expected
-        oracle.close()
 
     def test_infeasible_cell_serializes_as_error_info(self):
         async def scenario(service):

@@ -31,9 +31,7 @@ def _queries() -> list[Query]:
 
 @pytest.fixture(scope="module")
 def oracle():
-    predictor = Predictor()
-    yield predictor
-    predictor.close()
+    return Predictor()
 
 
 @pytest.fixture(scope="module")

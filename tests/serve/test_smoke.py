@@ -19,7 +19,6 @@ def test_query_pool_keys_are_pairwise_distinct():
     keys = {predictor.cache_key(q) for q in pool}
     assert len(pool) == 96
     assert len(keys) == 96
-    predictor.close()
 
 
 def test_query_pool_shares_a_small_profile_basis():

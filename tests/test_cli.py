@@ -75,22 +75,10 @@ class TestCLIExtensions:
 
 
 class TestCLIExecutor:
-    def test_jobs_output_identical_to_serial(self, capsys):
-        assert main(["fig5"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["--jobs", "4", "fig5"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == serial
-        assert "[executor]" in captured.err
-
     def test_cache_dir_populated(self, capsys, tmp_path):
         assert main(["--cache-dir", str(tmp_path), "fig5"]) == 0
-        capsys.readouterr()
+        assert "[executor]" in capsys.readouterr().err
         assert list(tmp_path.glob("*.json"))
-
-    def test_bad_executor_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--executor", "gpu", "fig5"])
 
 
 class TestCLIObservability:

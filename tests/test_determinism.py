@@ -1,8 +1,6 @@
 """End-to-end determinism: the whole study must be a pure function of the
 seed and the models (no wall-clock, no hidden state)."""
 
-import pytest
-
 from repro.core.report import generate_report
 from repro.core.runner import ExperimentRunner
 from repro.figures.fig4 import generate_b

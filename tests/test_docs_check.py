@@ -57,12 +57,12 @@ class TestDocsCheck:
     def test_cli_flags_include_observability(self):
         check_docs = load_check_docs()
         flags = check_docs.cli_flags()
-        assert {"--trace-out", "--metrics-out", "--jobs", "--cache-dir"} <= flags
+        assert {"--trace-out", "--metrics-out", "--check", "--cache-dir"} <= flags
         assert "--help" not in flags
 
     def test_detects_undocumented_flag(self, tmp_path):
         check_docs = load_check_docs()
         (tmp_path / "docs").mkdir()
-        (tmp_path / "README.md").write_text("only mentions --jobs\n")
+        (tmp_path / "README.md").write_text("only mentions --check\n")
         errors = check_docs.check_flags(tmp_path)
         assert any("--trace-out" in error for error in errors)

@@ -6,7 +6,6 @@ describe the structures — the foundation of the claim that the
 performance engine's inputs come from the algorithms, not hand-tuning.
 """
 
-import numpy as np
 import pytest
 
 from repro.workloads import (

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.profilephase import AccessPattern
-from repro.workloads.stream import ARRAYS, StreamBenchmark, StreamKernel
+from repro.workloads.stream import StreamBenchmark, StreamKernel
 
 
 class TestSizing:

@@ -105,11 +105,8 @@ def run_smoke(table_cache_dir: str) -> dict:
     assert not violations, f"served plan violates invariants: {violations}"
 
     predictor = Predictor(table_cache_dir=table_cache_dir)
-    try:
-        direct = CapacityPlanner(predictor).plan(request)
-        distinct = distinct_candidates(request, predictor)
-    finally:
-        predictor.close()
+    direct = CapacityPlanner(predictor).plan(request)
+    distinct = distinct_candidates(request, predictor)
     assert served == direct, (
         "served plan differs from the direct in-process solve:\n"
         f"  served: {served.to_dict()}\n  direct: {direct.to_dict()}"
