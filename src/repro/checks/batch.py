@@ -20,7 +20,7 @@ from repro.checks.invariants import Violation
 from repro.core.executor import SweepExecutor
 from repro.core.runner import ExperimentRunner
 from repro.figures import EXHIBITS
-from repro.machine.topology import KNLMachine
+from repro.machine.topology import KNLMachine, ThreadCapacityError
 
 __all__ = ["ExhibitCheck", "BatchReport", "check_exhibits"]
 
@@ -104,9 +104,10 @@ def check_exhibits(
         seen_violations = len(violations)
         seen_evaluated = runner.invariants_evaluated
         try:
-            exhibit = generate(executor)  # type: ignore[call-arg]
-        except TypeError:
-            exhibit = generate()  # table generators take no runner
+            exhibit = generate(executor)
+        except ThreadCapacityError as exc:
+            exc.exhibit_id = exhibit_id
+            raise
         report = check_exhibit(exhibit)
         runner.handle_report(report)
         checks.append(

@@ -35,6 +35,7 @@ from repro.core.executor import SweepExecutor
 from repro.core.runner import ExperimentRunner
 from repro.figures import EXHIBITS
 from repro.machine import registry
+from repro.machine.topology import ThreadCapacityError
 from repro.memory.modes import MCDRAMConfig
 from repro.runtime.simos import SimulatedOS
 from repro.workloads.registry import FROM_GB
@@ -341,13 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: 1024)",
     )
     serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        help="how long a dispatcher waits for a batch to fill "
-        "(default: 2.0; 0 dispatches immediately)",
-    )
-    serve.add_argument(
         "--cache-entries",
         type=int,
         default=4096,
@@ -365,11 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=10.0,
         help="default per-request deadline in seconds (default: 10)",
-    )
-    serve.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="serve one-evaluation-per-request (the naive baseline)",
     )
     serve.add_argument(
         "--replicas",
@@ -530,12 +519,22 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _dispatch_checked(args: argparse.Namespace) -> int:
-    """Dispatch, turning raise-mode violations into a clean exit 1."""
+    """Dispatch, turning raise-mode violations into a clean exit 1 and
+    an exhibit too large for ``--machine`` into a one-line exit 2."""
     try:
         return _dispatch(args)
     except InvariantViolation as exc:
         print(f"[check] {exc}", file=sys.stderr)
         return 1
+    except ThreadCapacityError as exc:
+        print(
+            f"[repro] {exc.exhibit_id or args.command} needs "
+            f"{exc.num_threads} threads, but machine "
+            f"{getattr(args, 'machine', 'knl7210')} holds at most "
+            f"{exc.capacity}",
+            file=sys.stderr,
+        )
+        return 2
 
 
 def _write_port_file(path: str, host: str, port: int) -> None:
@@ -579,12 +578,10 @@ def _run_serve(args: argparse.Namespace) -> int:
             table_cache_dir=table_cache_dir,
             max_batch=args.max_batch,
             max_queue=args.max_queue,
-            batch_window_s=args.batch_window_ms / 1e3,
             workers=args.workers,
             cache_entries=args.cache_entries,
             cache_ttl_s=args.cache_ttl if args.cache_ttl > 0 else None,
             default_deadline_s=args.deadline,
-            coalesce=not args.no_coalesce,
         )
     except ValidationError as exc:
         print(f"[serve] {exc}", file=sys.stderr)
@@ -599,11 +596,10 @@ def _run_serve(args: argparse.Namespace) -> int:
         host, port = await server.start()
         if args.port_file:
             _write_port_file(args.port_file, host, port)
-        mode = "coalescing" if config.coalesce else "naive (no coalescing)"
         name = f" {config.replica_id}" if config.replica_id else ""
         print(
             f"[serve{name}] listening on http://{host}:{port} "
-            f"({config.machine}, {mode}, {config.workers} workers) — "
+            f"({config.machine}, {config.workers} workers) — "
             f"Ctrl-C drains and exits",
             file=sys.stderr,
         )
@@ -792,8 +788,8 @@ def _run_plan(args: argparse.Namespace) -> int:
 
 
 def _bench_serve_sharded(args: argparse.Namespace) -> int:
-    """Benchmark the sharded deployment and merge a ``sharded`` section
-    into the serve benchmark document (baseline sections are kept)."""
+    """Benchmark the sharded deployment into the ``sharded`` section of
+    the serve benchmark document (the writer keeps the other sections)."""
     from repro.serve.loadgen import measure_serve_sharded, write_bench_json
 
     counts = [1]
@@ -809,13 +805,7 @@ def _bench_serve_sharded(args: argparse.Namespace) -> int:
         workers=args.serve_workers,
         machine=getattr(args, "machine", "knl7210"),
     )
-    path = args.out or "BENCH_serve.json"
-    document: dict[str, Any] = {}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
-    document["sharded"] = sharded
-    path = write_bench_json(document, path)
+    path = write_bench_json({"sharded": sharded}, args.out or "BENCH_serve.json")
     scaling = sharded["scaling"]
     for n in counts:
         phase = sharded["overload"][str(n)]
@@ -968,7 +958,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if command == "check":
         from repro.checks.batch import check_exhibits
 
-        report = check_exhibits(cache_dir=args.cache_dir)
+        report = check_exhibits(machine=_machine(args), cache_dir=args.cache_dir)
         print(report.render())
         return 0 if report.ok else 1
     if command == "report":
@@ -978,24 +968,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(generate_report(executor).render())
         _report_stats(executor)
         return 0
-    if command == "all":
-        executor = _build_executor(args)
-        for generate in EXHIBITS.values():
-            try:
-                exhibit = generate(executor)  # type: ignore[call-arg]
-            except TypeError:
-                exhibit = generate()  # table generators take no runner
-            print(exhibit.render())
-            print()
-        _report_stats(executor)
-        return 0
-    generate = EXHIBITS[command]
     executor = _build_executor(args)
-    try:
-        exhibit = generate(executor)  # type: ignore[call-arg]
-    except TypeError:
-        exhibit = generate()
-    print(exhibit.render())
+    for exhibit_id in (EXHIBITS if command == "all" else (command,)):
+        try:
+            exhibit = EXHIBITS[exhibit_id](executor)
+        except ThreadCapacityError as exc:
+            exc.exhibit_id = exhibit_id
+            raise
+        print(exhibit.render())
+        if command == "all":
+            print()
     _report_stats(executor)
     return 0
 

@@ -41,10 +41,7 @@ def generate_report(runner: ExperimentRunner | SweepExecutor | None = None) -> S
     runner = runner if runner is not None else ExperimentRunner()
     sections: list[tuple[str, str]] = []
     for exhibit_id, generate in EXHIBITS.items():
-        try:
-            exhibit = generate(runner)  # type: ignore[call-arg]
-        except TypeError:
-            exhibit = generate()
+        exhibit = generate(runner)
         sections.append((f"{exhibit_id}: {exhibit.title}", exhibit.render()))
     return StudyReport(sections=tuple(sections))
 

@@ -51,7 +51,9 @@ def render_layout(machine: KNLMachine) -> str:
     return "\n".join(lines)
 
 
-def generate() -> Exhibit:
+def generate(runner: "object | None" = None) -> Exhibit:
+    """``runner`` is ignored: this exhibit does not depend on the machine."""
+    del runner
     machine = knl7210()
     return Exhibit(
         exhibit_id="fig1",

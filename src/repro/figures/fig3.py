@@ -34,7 +34,11 @@ def _label(block: int) -> str:
     return f"{block // KiB}K"
 
 
-def generate(blocks: Sequence[int] | None = None) -> Exhibit:
+def generate(
+    runner: "object | None" = None, blocks: Sequence[int] | None = None
+) -> Exhibit:
+    """``runner`` is ignored: the latency curve is always the knl7210's."""
+    del runner
     blocks = tuple(blocks) if blocks is not None else DEFAULT_BLOCKS
     machine = knl7210()
     model = PerformanceModel(machine, MemorySystem(MCDRAMConfig.flat()))

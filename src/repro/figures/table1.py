@@ -6,7 +6,9 @@ from repro.figures.common import Exhibit
 from repro.workloads.registry import render_table1, table1_rows
 
 
-def generate() -> Exhibit:
+def generate(runner: "object | None" = None) -> Exhibit:
+    """``runner`` is ignored: this exhibit does not depend on the machine."""
+    del runner
     return Exhibit(
         exhibit_id="table1",
         title="List of Evaluated Applications",

@@ -6,7 +6,9 @@ from repro.figures.common import Exhibit
 from repro.memory.modes import MCDRAMConfig, MemorySystem
 
 
-def generate() -> Exhibit:
+def generate(runner: "object | None" = None) -> Exhibit:
+    """``runner`` is ignored: this exhibit does not depend on the machine."""
+    del runner
     flat = MemorySystem(MCDRAMConfig.flat())
     cache = MemorySystem(MCDRAMConfig.cache())
     flat_text = flat.numactl_hardware()

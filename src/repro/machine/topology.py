@@ -16,6 +16,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.device import MemoryDevice
 
 
+class ThreadCapacityError(ValueError):
+    """A thread count beyond a node's hardware threads.
+
+    ``exhibit_id`` is empty until an exhibit driver that caught it on
+    its way out names the exhibit that asked for the threads.
+    """
+
+    def __init__(self, num_threads: int, capacity: int, detail: str) -> None:
+        super().__init__(
+            f"{num_threads} threads exceed the node capacity of {capacity} "
+            f"({detail})"
+        )
+        self.num_threads = num_threads
+        self.capacity = capacity
+        self.exhibit_id = ""
+
+
 @dataclass(frozen=True)
 class ThreadPlacement:
     """How an OpenMP thread count maps onto cores.
@@ -144,10 +161,10 @@ class Machine:
             return cached
         check_positive("num_threads", num_threads)
         if num_threads > self.max_threads:
-            raise ValueError(
-                f"{num_threads} threads exceed the node capacity of "
-                f"{self.max_threads} ({self.num_cores} cores x "
-                f"{self.smt_per_core} hardware threads)"
+            raise ThreadCapacityError(
+                num_threads,
+                self.max_threads,
+                f"{self.num_cores} cores x {self.smt_per_core} hardware threads",
             )
         if num_threads <= self.num_cores:
             placement = ThreadPlacement(

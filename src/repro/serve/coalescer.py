@@ -2,13 +2,15 @@
 
 Concurrent requests land individual queries in one bounded queue; a
 small set of dispatcher tasks drains the queue in arrival order and
-ships each drained slice as **one** dense batch to an evaluation
-callable on a worker pool (where it reaches the columnar
-:class:`~repro.engine.batch.BatchEvaluator` — the PR-4 engine whose
-per-point cost is two orders of magnitude below the scalar path).  The
-result is the classic serving trade: a little queueing latency buys a
-large throughput multiple, while per-query results stay bit-identical
-to scalar evaluation.
+ships each drained slice as **one** batch to an evaluation callable on
+a worker pool (where it reaches the columnar
+:class:`~repro.engine.batch.BatchEvaluator`).  A free dispatcher never
+waits: it drains whatever is queued, up to ``max_batch``, the moment it
+wakes.  Queries that arrive while every dispatcher is busy evaluating
+pile up and leave together as the next batch (group commit), so batch
+size follows queue depth — a lone query goes out alone, a burst goes
+out dense — and per-query results stay bit-identical to scalar
+evaluation either way.
 
 Backpressure is explicit: a full queue (or a draining coalescer)
 rejects at submission time with
@@ -62,13 +64,6 @@ class Coalescer:
     dispatchers:
         Number of concurrent dispatcher tasks — the effective number of
         batches in flight (match the pool width).
-    batch_window_s:
-        How long a dispatcher lingers after waking before it drains, so
-        concurrent arrivals pile into one dense batch.  Small batches
-        re-pay the per-configuration table setup the columnar engine
-        amortizes, so a few milliseconds of window buys a visibly
-        cheaper per-query cost; ``0`` dispatches immediately.  The
-        window is skipped once ``max_batch`` queries are already queued.
     metrics:
         Optional registry receiving ``serve.batch_size`` /
         ``serve.queue_depth`` / ``serve.batches``.
@@ -82,7 +77,6 @@ class Coalescer:
         max_batch: int = 256,
         max_queue: int = 1024,
         dispatchers: int = 2,
-        batch_window_s: float = 0.0,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if max_batch < 1:
@@ -91,16 +85,11 @@ class Coalescer:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if dispatchers < 1:
             raise ValueError(f"dispatchers must be >= 1, got {dispatchers}")
-        if batch_window_s < 0:
-            raise ValueError(
-                f"batch_window_s must be >= 0, got {batch_window_s}"
-            )
         self._evaluate = evaluate
         self._pool = pool
         self.max_batch = max_batch
         self.max_queue = max_queue
         self.dispatchers = dispatchers
-        self.batch_window_s = batch_window_s
         self.metrics = metrics
         self._queue: deque[_Pending] = deque()
         self._wakeup: asyncio.Event | None = None
@@ -195,12 +184,6 @@ class Coalescer:
         loop = asyncio.get_running_loop()
         while True:
             await self._wakeup.wait()
-            if (
-                self.batch_window_s > 0
-                and not self._closing
-                and 0 < len(self._queue) < self.max_batch
-            ):
-                await asyncio.sleep(self.batch_window_s)
             batch: list[_Pending] = []
             while self._queue and len(batch) < self.max_batch:
                 pending = self._queue.popleft()

@@ -1,18 +1,18 @@
 """Closed-loop load generator and benchmark for the prediction service.
 
 Boots two in-process servers — the real coalescing service and the naive
-one-request-one-eval baseline (``coalesce=False``, cache disabled) —
-drives each with the same population of **distinct** what-if queries
-from N concurrent clients, and reports throughput and latency
-percentiles per phase:
+one-request-one-eval baseline (``max_batch=1``, cache disabled, through
+the same coalescer) — drives each with the same population of
+**distinct** what-if queries from N concurrent clients, and reports
+throughput and latency percentiles per phase:
 
 * ``coalesced`` — cold keys against the coalescing server: every query
-  is a model evaluation, but concurrent requests merge into dense
-  columnar batches;
+  is a model evaluation, but queries that queue behind a running batch
+  leave together as the next one;
 * ``hot_cache`` — the same keys again: served from the TTL result cache
   on the event loop, no evaluation at all;
-* ``naive`` — the same cold keys against the baseline server: one
-  scalar evaluation per request, the pre-serve cost model.
+* ``naive`` — the same cold keys against the baseline server: every
+  query is dispatched as a batch of one.
 
 The measurement-hygiene decision that matters most: **the pool is
 shaped like real what-if traffic.**  Queries share a small basis of
@@ -304,8 +304,8 @@ def measure_serve(
     )
     naive_config = ServiceConfig(
         workers=workers,
+        max_batch=1,
         max_queue=max(1024, 4 * total),
-        coalesce=False,
         cache_entries=0,
     )
 
@@ -369,6 +369,16 @@ def measure_serve(
             "mean_batch_size": batched / batches if batches else 0.0,
         },
         "identity": identity,
+        "note": (
+            "The naive row is max_batch=1 with the result cache off, "
+            "through the same request pipeline and coalescer as the "
+            "coalesced row, so the two rows differ only in batching.  A "
+            "batch of one costs more than the one-scalar-eval-per-request "
+            "path the naive row measured before, so "
+            "speedup_coalesced_vs_naive reads higher against this "
+            "baseline with no change in coalescing: do not compare it "
+            "across that change.  See docs/SERVING.md, 'The benchmark'."
+        ),
     }
 
 
@@ -758,8 +768,9 @@ def _bench_history_entry(document: dict[str, Any]) -> dict[str, Any]:
 
     Picks whichever headline numbers the document carries — the
     single-replica bench reports coalesced/naive phase throughputs, the
-    sharded bench a goodput-scaling curve — so one history schema serves
-    both ``bench serve`` and ``bench serve --sharded``.
+    sharded bench (top level or under ``sharded``) a goodput-scaling
+    curve — so one history schema serves both ``bench serve`` and
+    ``bench serve --replicas N``.
     """
     entry: dict[str, Any] = {
         "at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -772,7 +783,7 @@ def _bench_history_entry(document: dict[str, Any]) -> dict[str, Any]:
     ):
         if key in document and not isinstance(document[key], dict):
             entry[key] = document[key]
-    scaling = document.get("scaling")
+    scaling = document.get("scaling") or document.get("sharded", {}).get("scaling")
     if isinstance(scaling, dict):
         for key in ("goodput_rps", "speedup_vs_min", "parallel_efficiency"):
             if key in scaling:
@@ -786,24 +797,28 @@ def _bench_history_entry(document: dict[str, Any]) -> dict[str, Any]:
 
 
 def write_bench_json(document: dict[str, Any], path: str) -> str:
-    """Write a bench document, accumulating a ``history`` list.
+    """Merge a bench document into ``path``, accumulating ``history``.
 
-    Each regeneration replaces the headline document but appends one
-    compact timestamped row to ``history`` carried over from the
-    existing file, so the trajectory across runs is preserved in-band.
+    One rule for every writer: the keys this run measured replace their
+    old values, every other key of the existing file is kept (so a
+    single-replica run keeps the ``sharded`` section and vice versa),
+    and one compact timestamped row is appended to ``history``.  A
+    missing or unreadable file starts fresh.
     """
-    history: list[Any] = []
+    merged: dict[str, Any] = {}
     try:
         with open(path, encoding="utf-8") as handle:
             previous = json.load(handle)
-        carried = previous.get("history")
-        if isinstance(carried, list):
-            history = carried
+        if isinstance(previous, dict):
+            merged = previous
     except (OSError, ValueError):
+        pass
+    history = merged.get("history")
+    if not isinstance(history, list):
         history = []
-    history.append(_bench_history_entry(document))
-    document = dict(document)
-    document["history"] = history
+    merged.update(document)
+    merged["history"] = history + [_bench_history_entry(document)]
+    document = merged
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")

@@ -6,9 +6,8 @@ deadlines, admission, keying, the TTL result cache and the envelopes —
 is the shared :class:`~repro.serve.pipeline.RequestPipeline`; this class
 supplies the back half:
 
-* cache misses go to the coalescer (or, in the naive ``coalesce=False``
-  baseline, one evaluation call per query) under the per-request
-  deadline, whose expiry cancels still-queued work;
+* cache misses go to the coalescer under the per-request deadline,
+  whose expiry cancels still-queued work;
 * a ``/v1/plan`` solve runs on a pool thread through the
   :class:`~repro.plan.planner.CapacityPlanner`.
 
@@ -46,9 +45,9 @@ class ServiceConfig:
     """Capacity and behaviour knobs of one service instance.
 
     The defaults suit an interactive what-if service; ``docs/SERVING.md``
-    discusses how to tune them.  ``coalesce=False`` turns the service
-    into the naive one-request-one-eval baseline the serve benchmark
-    measures against (usually combined with ``cache_entries=0``).
+    discusses how to tune them.  ``max_batch=1`` with ``cache_entries=0``
+    is the one-request-one-eval baseline the serve benchmark measures
+    against, through the same coalescer.
     """
 
     machine: str = "knl7210"
@@ -65,13 +64,11 @@ class ServiceConfig:
     table_cache_dir: str | None = None
     max_batch: int = 256
     max_queue: int = 1024
-    batch_window_s: float = 0.002
     workers: int = 2
     cache_entries: int = 4096
     cache_ttl_s: float | None = 300.0
     default_deadline_s: float = 10.0
     max_request_queries: int = 4096
-    coalesce: bool = True
     drain_timeout_s: float = 5.0
 
     def __post_init__(self) -> None:
@@ -85,10 +82,6 @@ class ServiceConfig:
                 raise ValidationError(
                     f"{name} must be >= 1, got {getattr(self, name)}"
                 )
-        if self.batch_window_s < 0:
-            raise ValidationError(
-                f"batch_window_s must be >= 0, got {self.batch_window_s}"
-            )
         if self.cache_entries < 0:
             raise ValidationError(
                 f"cache_entries must be >= 0, got {self.cache_entries}"
@@ -131,7 +124,6 @@ class PredictionService(RequestPipeline):
             max_batch=self.config.max_batch,
             max_queue=self.config.max_queue,
             dispatchers=self.config.workers,
-            batch_window_s=self.config.batch_window_s,
             metrics=self.metrics,
         )
         self._coalescer.start()
@@ -184,13 +176,6 @@ class PredictionService(RequestPipeline):
             hook()
         return self._worker_predictor().predict_many(queries)
 
-    def _evaluate_one(self, query: Query) -> PredictionResult:
-        """The naive baseline: one scalar evaluation per call."""
-        hook = self.fault_hook
-        if hook is not None:
-            hook()
-        return self._worker_predictor().predict(query)
-
     # -- the back half (event loop) -------------------------------------------
     def _keys(self, queries: Sequence[Query]) -> list[str]:
         # Content-addressed keys exist to serve the result cache; with the
@@ -198,25 +183,17 @@ class PredictionService(RequestPipeline):
         # that configuration for work it cannot use.
         if self.cache.enabled:
             return super()._keys(queries)
-        if self.config.coalesce:
-            # Still validate at the boundary: one malformed query must
-            # not fail the shared batch it would be coalesced into.
-            for query in queries:
-                self._resolver.resolve(query)
+        # Still validate at the boundary: one malformed query must not
+        # fail the shared batch it would be coalesced into.
+        for query in queries:
+            self._resolver.resolve(query)
         return [""] * len(queries)
 
     async def _answer_misses(
         self, queries: list[Query], keys: list[str], deadline_s: float
     ) -> Sequence[PredictionResult]:
-        assert self._coalescer is not None and self._pool is not None
-        if self.config.coalesce:
-            futures = [self._coalescer.submit(q, k) for q, k in zip(queries, keys)]
-        else:
-            loop = asyncio.get_running_loop()
-            futures = [
-                loop.run_in_executor(self._pool, self._evaluate_one, q)
-                for q in queries
-            ]
+        assert self._coalescer is not None
+        futures = [self._coalescer.submit(q, k) for q, k in zip(queries, keys)]
         pending = f"{len(futures)} queries pending"
         # The single-query request is the hot path: skip the gather layer.
         if len(futures) == 1:
@@ -264,7 +241,6 @@ class PredictionService(RequestPipeline):
             service="repro.serve",
             version=repro.__version__,
             machine=self.config.machine,
-            coalesce=self.config.coalesce,
         )
         if self.config.replica_id:
             document["replica_id"] = self.config.replica_id
@@ -285,7 +261,6 @@ class PredictionService(RequestPipeline):
             service=self.metrics.as_dict(),
             cache=self.cache.stats(),
             coalescer={
-                "enabled": self.config.coalesce,
                 "submitted": 0 if coalescer is None else coalescer.submitted,
                 "rejected": 0 if coalescer is None else coalescer.rejected,
                 "batches": (

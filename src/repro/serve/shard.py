@@ -503,7 +503,6 @@ class ShardRouter(RequestPipeline):
             version=repro.__version__,
             machine=self.config.service.machine,
             replicas=len(self.replicas.ids()),
-            coalesce=self.config.service.coalesce,
         )
 
     def _fetch_replica_metrics(self, replica_id: str) -> dict[str, Any]:
@@ -627,14 +626,11 @@ class ProcessReplica:
             "--workers", str(cfg.workers),
             "--max-batch", str(cfg.max_batch),
             "--max-queue", str(cfg.max_queue),
-            "--batch-window-ms", str(cfg.batch_window_s * 1e3),
             "--cache-entries", str(cfg.cache_entries),
             "--cache-ttl",
             "0" if cfg.cache_ttl_s is None else str(cfg.cache_ttl_s),
             "--deadline", str(cfg.default_deadline_s),
         ]
-        if not cfg.coalesce:
-            argv.append("--no-coalesce")
         return argv
 
     def start(self, *, timeout_s: float = 90.0) -> tuple[str, int]:

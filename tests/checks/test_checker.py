@@ -151,6 +151,22 @@ def test_check_command_fails_on_a_violation(failing_invariant, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_type_error_inside_an_exhibit_propagates(monkeypatch):
+    """A generator that fails only when given the runner must fail the
+    check, not be retried without it on the default machine."""
+    from repro.checks.batch import check_exhibits
+    from repro.figures import EXHIBITS
+
+    def broken(runner=None):
+        if runner is not None:
+            raise TypeError("broken inside the exhibit")
+        return EXHIBITS["table1"]()
+
+    monkeypatch.setitem(EXHIBITS, "fig1", broken)
+    with pytest.raises(TypeError, match="broken inside the exhibit"):
+        check_exhibits(("fig1",))
+
+
 # -- observability composition ------------------------------------------------
 
 

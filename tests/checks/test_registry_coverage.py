@@ -34,12 +34,7 @@ def battery():
     # Thread axis: unimodal scaling.
     thread_sweep(executor, FROM_GB["gups"](1.0), [64, 128, 256])
     # Exhibit scope: the latency figure carries both exhibit invariants.
-    generate = EXHIBITS["fig3"]
-    try:
-        exhibit = generate(executor)
-    except TypeError:
-        exhibit = generate()
-    runner.handle_report(check_exhibit(exhibit))
+    runner.handle_report(check_exhibit(EXHIBITS["fig3"](executor)))
     return runner, violations
 
 

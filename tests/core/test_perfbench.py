@@ -113,6 +113,26 @@ class TestServeBenchHistory:
         assert entry["speedup_vs_min"] == {"1": 1.0, "4": 3.8}
         assert entry["parallel_efficiency"] == {"1": 1.0, "4": 0.95}
 
+    def test_each_run_replaces_only_the_sections_it_measured(self, tmp_path):
+        bench = tmp_path / "BENCH_serve.json"
+        path = str(bench)
+        sharded = {"scaling": {"speedup_vs_min": {"1": 1.0, "2": 1.9}}}
+        write_serve_bench_json(
+            {"coalesced": {"throughput_rps": 1.0}, "sharded": sharded}, path
+        )
+        write_serve_bench_json(dict(self.DOCUMENT), path)
+        document = json.loads(bench.read_text())
+        assert document["sharded"] == sharded
+        assert document["coalesced"] == {"throughput_rps": 900.0}
+        write_serve_bench_json({"sharded": {"scaling": {}}}, path)
+        document = json.loads(bench.read_text())
+        assert document["sharded"] == {"scaling": {}}
+        assert document["speedup_coalesced_vs_naive"] == 3.1
+        history = document["history"]
+        assert len(history) == 3
+        assert history[0]["speedup_vs_min"] == {"1": 1.0, "2": 1.9}
+        assert "speedup_vs_min" not in history[1]
+
     def test_input_document_is_not_mutated(self, tmp_path):
         document = dict(self.DOCUMENT)
         write_serve_bench_json(document, str(tmp_path / "b.json"))

@@ -25,13 +25,9 @@ def _normalize(text: str) -> str:
 @pytest.fixture(scope="module")
 def rendered(runner):
     """Render every exhibit once through the shared runner/executor."""
-    out = {}
-    for exhibit_id, generate in EXHIBITS.items():
-        try:
-            out[exhibit_id] = generate(runner)  # type: ignore[call-arg]
-        except TypeError:
-            out[exhibit_id] = generate()  # table generators take no runner
-    return out
+    return {
+        exhibit_id: generate(runner) for exhibit_id, generate in EXHIBITS.items()
+    }
 
 
 @pytest.mark.parametrize("exhibit_id", sorted(EXHIBITS))

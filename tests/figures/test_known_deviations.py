@@ -22,11 +22,7 @@ from repro.figures import EXHIBITS
 
 
 def _generate(exhibit_id):
-    generate = EXHIBITS[exhibit_id]
-    try:
-        return generate(None)
-    except TypeError:
-        return generate()
+    return EXHIBITS[exhibit_id]()
 
 
 @pytest.fixture(scope="module")

@@ -31,10 +31,7 @@ def rendered_under_observation():
     out = {}
     with obs.observe() as session:
         for exhibit_id, generate in EXHIBITS.items():
-            try:
-                out[exhibit_id] = generate(runner)  # type: ignore[call-arg]
-            except TypeError:
-                out[exhibit_id] = generate()  # table generators take no runner
+            out[exhibit_id] = generate(runner)
     # The session must have actually observed something — otherwise this
     # suite would pass vacuously with instrumentation unplugged.
     assert len(session.spans()) > 0

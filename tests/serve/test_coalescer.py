@@ -8,6 +8,8 @@ the loop.
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -49,9 +51,7 @@ def test_concurrent_submissions_coalesce_into_one_batch():
 
     async def scenario():
         with ThreadPoolExecutor(1) as pool:
-            coalescer = Coalescer(
-                evaluator, pool=pool, max_batch=64, batch_window_s=0.01
-            )
+            coalescer = Coalescer(evaluator, pool=pool, max_batch=64)
             coalescer.start()
             futures = [coalescer.submit(_query(i), f"k{i}") for i in range(8)]
             results = await asyncio.gather(*futures)
@@ -68,14 +68,47 @@ def test_concurrent_submissions_coalesce_into_one_batch():
     ]
 
 
+def test_free_dispatcher_sends_at_once_and_queued_arrivals_batch_together():
+    # One dispatcher, an evaluator held on an event: the lone first query
+    # is dispatched without any timer, and everything submitted while it
+    # is held leaves as one batch once it is released.
+    release = threading.Event()
+    evaluator = RecordingEvaluator()
+
+    def held(queries: list[Query]) -> list[PredictionResult]:
+        results = evaluator(queries)
+        release.wait(timeout=10.0)
+        return results
+
+    async def scenario():
+        with ThreadPoolExecutor(1) as pool:
+            coalescer = Coalescer(held, pool=pool, dispatchers=1)
+            coalescer.start()
+            first = coalescer.submit(_query(0), "k0")
+            give_up = time.monotonic() + 10.0
+            while not evaluator.batches and time.monotonic() < give_up:
+                await asyncio.sleep(0)  # the lone query goes out alone
+            assert [len(b) for b in evaluator.batches] == [1]
+            later = [coalescer.submit(_query(i), f"k{i}") for i in range(1, 6)]
+            for _ in range(10):  # the dispatcher is busy: nothing moves
+                await asyncio.sleep(0)
+            assert coalescer.queue_depth == 5
+            release.set()
+            results = await asyncio.gather(first, *later)
+            await coalescer.stop()
+            return results
+
+    results = run(scenario())
+    assert [len(b) for b in evaluator.batches] == [1, 5]
+    assert [r.metric for r in results] == [1.0 + i for i in range(6)]
+
+
 def test_max_batch_splits_the_queue():
     evaluator = RecordingEvaluator()
 
     async def scenario():
         with ThreadPoolExecutor(1) as pool:
-            coalescer = Coalescer(
-                evaluator, pool=pool, max_batch=3, batch_window_s=0.0
-            )
+            coalescer = Coalescer(evaluator, pool=pool, max_batch=3)
             coalescer.start()
             futures = [coalescer.submit(_query(i), f"k{i}") for i in range(7)]
             await asyncio.gather(*futures)
@@ -123,9 +156,7 @@ def test_cancelled_entries_are_never_evaluated():
 
     async def scenario():
         with ThreadPoolExecutor(1) as pool:
-            coalescer = Coalescer(
-                evaluator, pool=pool, batch_window_s=0.05
-            )
+            coalescer = Coalescer(evaluator, pool=pool)
             coalescer.start()
             doomed = coalescer.submit(_query(0), "k0")
             kept = coalescer.submit(_query(1), "k1")
@@ -190,7 +221,7 @@ def test_counters_track_submissions_and_batches():
 
     async def scenario():
         with ThreadPoolExecutor(1) as pool:
-            coalescer = Coalescer(evaluator, pool=pool, batch_window_s=0.01)
+            coalescer = Coalescer(evaluator, pool=pool)
             coalescer.start()
             await asyncio.gather(
                 *[coalescer.submit(_query(i), f"k{i}") for i in range(5)]
@@ -210,7 +241,6 @@ def test_counters_track_submissions_and_batches():
         {"max_batch": 0},
         {"max_queue": 0},
         {"dispatchers": 0},
-        {"batch_window_s": -0.1},
     ],
 )
 def test_invalid_parameters_raise(kwargs):

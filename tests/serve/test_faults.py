@@ -288,9 +288,7 @@ def test_capacity_spill_keeps_overloaded_replica_healthy(oracle):
     faults = FaultInjector()
     deployment = _deployment(
         faults,
-        service=ServiceConfig(
-            workers=1, cache_ttl_s=None, max_queue=1, batch_window_s=0.0
-        ),
+        service=ServiceConfig(workers=1, cache_ttl_s=None, max_queue=1),
     )
     try:
         host, port = deployment.start()

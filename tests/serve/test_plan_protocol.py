@@ -45,7 +45,7 @@ REQUEST = PlanRequest(
 
 @pytest.fixture(scope="module")
 def server():
-    with ServerThread(ServiceConfig(batch_window_s=0.001)) as thread:
+    with ServerThread(ServiceConfig()) as thread:
         yield thread
 
 

@@ -10,6 +10,7 @@ scalar ``repro.api`` evaluation — is asserted with full
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -112,9 +113,7 @@ class TestCoalescingIdentity:
                 ]
             )
 
-        envelopes = run_service(
-            scenario, ServiceConfig(batch_window_s=0.01)
-        )
+        envelopes = run_service(scenario)
         oracle = Predictor()
         for query, envelope in zip(QUERIES, envelopes):
             served = envelope["results"][0]
@@ -173,18 +172,32 @@ class TestCoalescingIdentity:
 
 class TestDeadlinesAndBackpressure:
     def test_deadline_exceeded_while_queued(self):
-        # The batch window (50 ms) exceeds the deadline (1 ms), so the
-        # request times out while its query is still queued.
+        # The one worker is held inside an evaluation, so the second
+        # request's query is still queued when its 1 ms deadline fires.
+        release = threading.Event()
+        held = threading.Event()
+
+        def hold() -> None:
+            held.set()
+            release.wait(timeout=10.0)
+
         async def scenario(service):
-            with pytest.raises(DeadlineExceededError):
-                await service.handle_predict(
-                    {"query": QUERIES[0].to_dict(), "deadline_s": 0.001}
-                )
+            service.fault_hook = hold
+            blocker = asyncio.ensure_future(
+                service.handle_predict({"query": QUERIES[1].to_dict()})
+            )
+            assert await asyncio.to_thread(held.wait, 10.0)
+            try:
+                with pytest.raises(DeadlineExceededError):
+                    await service.handle_predict(
+                        {"query": QUERIES[0].to_dict(), "deadline_s": 0.001}
+                    )
+            finally:
+                release.set()
+            await blocker
             return service.metrics_snapshot()
 
-        snapshot = run_service(
-            scenario, ServiceConfig(batch_window_s=0.05)
-        )
+        snapshot = run_service(scenario, ServiceConfig(workers=1))
         counters = snapshot["service"]["counters"]
         assert counters.get("serve.deadline_exceeded") == 1.0
 
@@ -275,9 +288,8 @@ class TestMetricsSnapshot:
             )
             return service.metrics_snapshot()
 
-        snapshot = run_service(scenario, ServiceConfig(batch_window_s=0.01))
+        snapshot = run_service(scenario)
         coalescer = snapshot["coalescer"]
-        assert coalescer["enabled"]
         assert coalescer["submitted"] == len(QUERIES)
         assert coalescer["batched_queries"] == len(QUERIES)
         # Coalescing happened: fewer dispatches than queries.
@@ -287,7 +299,7 @@ class TestMetricsSnapshot:
         assert snapshot["cache"]["misses"] == len(QUERIES)
 
     def test_naive_configuration_disables_coalescing(self):
-        config = ServiceConfig(coalesce=False, cache_entries=0)
+        config = ServiceConfig(max_batch=1, cache_entries=0)
 
         async def scenario(service):
             await asyncio.gather(
@@ -299,14 +311,16 @@ class TestMetricsSnapshot:
             return service.metrics_snapshot()
 
         snapshot = run_service(scenario, config)
-        assert not snapshot["coalescer"]["enabled"]
-        assert snapshot["coalescer"]["submitted"] == 0
+        # Every query is its own batch through the one coalescer.
+        assert snapshot["coalescer"]["submitted"] == 4
+        assert snapshot["coalescer"]["batches"] == 4
+        assert snapshot["coalescer"]["batched_queries"] == 4
         assert snapshot["cache"]["max_entries"] == 0
 
     def test_naive_mode_still_validates_at_the_boundary(self):
         from repro.api import UnknownWorkloadError
 
-        config = ServiceConfig(coalesce=False, cache_entries=0)
+        config = ServiceConfig(max_batch=1, cache_entries=0)
 
         async def scenario(service):
             with pytest.raises(UnknownWorkloadError):
@@ -331,7 +345,6 @@ class TestServiceConfigValidation:
             {"workers": 0},
             {"max_batch": 0},
             {"max_queue": 0},
-            {"batch_window_s": -0.5},
             {"cache_entries": -1},
             {"default_deadline_s": 0.0},
         ],

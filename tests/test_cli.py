@@ -81,6 +81,31 @@ class TestCLIExecutor:
         assert list(tmp_path.glob("*.json"))
 
 
+class TestCLIMachine:
+    def test_check_audits_the_named_machine(self, capsys, monkeypatch):
+        import repro.checks.batch
+        from repro.checks.batch import BatchReport
+
+        seen = []
+
+        def fake_check_exhibits(*, machine=None, cache_dir=None):
+            seen.append(machine)
+            return BatchReport(())
+
+        monkeypatch.setattr(repro.checks.batch, "check_exhibits", fake_check_exhibits)
+        assert main(["--machine", "knl7250", "check"]) == 0
+        (machine,) = seen
+        assert machine is not None and machine.num_cores == 68
+
+    @pytest.mark.parametrize("command", ["fig2", "all", "check"])
+    def test_exhibit_too_large_for_the_machine_exits_2(self, capsys, command):
+        assert main(["--machine", "nvmsim", command]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [
+            "[repro] fig2 needs 64 threads, but machine nvmsim holds at most 32"
+        ]
+
+
 class TestCLIObservability:
     def test_trace_and_metrics_files_written(self, capsys, tmp_path):
         trace_path = tmp_path / "t.json"

@@ -66,3 +66,13 @@ class TestDocsCheck:
         (tmp_path / "README.md").write_text("only mentions --check\n")
         errors = check_docs.check_flags(tmp_path)
         assert any("--trace-out" in error for error in errors)
+
+    def test_detects_stale_flag(self, tmp_path):
+        check_docs = load_check_docs()
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "README.md").write_text(
+            "run with --check, `numactl --membind=1` and --no-such-flag\n"
+        )
+        (tmp_path / "docs" / "A.md").write_text("a | --- | table --\n")
+        errors = check_docs.check_stale_flags(tmp_path)
+        assert errors == ["README.md: documents unknown flag --no-such-flag"]

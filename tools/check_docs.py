@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation lint (`make docs-check`).
 
-Two checks, both cheap and dependency-free:
+Three checks, all cheap and dependency-free:
 
 1. **Relative links resolve** — every relative Markdown link target in
    README.md and docs/*.md must exist on disk (external http(s)/mailto
@@ -10,6 +10,10 @@ Two checks, both cheap and dependency-free:
    ``repro.cli`` (top-level and subcommand parsers alike) must be
    mentioned somewhere in README.md or docs/*.md, so the CLI surface
    cannot drift ahead of the documentation.
+3. **Documented flags exist** — every ``--flag`` written in README.md
+   or docs/*.md must be defined by some ``repro`` parser, except the
+   few foreign tools' flags in :data:`FOREIGN_FLAGS`, so the docs
+   cannot keep describing a flag the CLI has dropped.
 
 Exit status 0 when clean, 1 with a per-problem report otherwise.  Run
 directly (``python tools/check_docs.py``) or via the pytest wrapper
@@ -28,6 +32,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # Inline Markdown links/images: [text](target) / ![alt](target).
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+# A ``--flag`` token that is not part of a longer word or dash run.
+_FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+#: Flags of other tools that the docs quote: pytest-benchmark's and
+#: numactl's.
+FOREIGN_FLAGS = frozenset(
+    {"--benchmark-only", "--hardware", "--membind", "--preferred", "--interleave"}
+)
 
 
 def doc_files(repo_root: Path = REPO_ROOT) -> list[Path]:
@@ -93,8 +104,20 @@ def check_flags(repo_root: Path = REPO_ROOT) -> list[str]:
     ]
 
 
+def check_stale_flags(repo_root: Path = REPO_ROOT) -> list[str]:
+    """Flags the docs mention that no ``repro`` parser defines."""
+    known = cli_flags() | FOREIGN_FLAGS
+    errors = []
+    for doc in doc_files(repo_root):
+        for flag in sorted(set(_FLAG_RE.findall(doc.read_text())) - known):
+            errors.append(
+                f"{doc.relative_to(repo_root)}: documents unknown flag {flag}"
+            )
+    return errors
+
+
 def main() -> int:
-    errors = check_links() + check_flags()
+    errors = check_links() + check_flags() + check_stale_flags()
     for error in errors:
         print(error, file=sys.stderr)
     if errors:
