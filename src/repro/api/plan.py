@@ -30,6 +30,7 @@ loads into the pool's node counts (docs/PLANNING.md).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -103,6 +104,14 @@ def _check_non_negative(name: str, value: Any) -> float:
     if number < 0:
         raise ValidationError(f"{name} must be >= 0, got {value!r}")
     return number
+
+
+@functools.cache
+def _paper_trio() -> tuple[str, ...]:
+    """The paper trio's config values, resolved once."""
+    from repro.core.configs import ConfigName
+
+    return tuple(c.value for c in ConfigName.paper_trio())
 
 
 @dataclass(frozen=True)
@@ -184,11 +193,7 @@ class PoolEntry:
     def effective_configs(self) -> tuple[str, ...]:
         """The configs the planner enumerates: the explicit list, or the
         paper trio when none was given."""
-        if self.configs:
-            return self.configs
-        from repro.core.configs import ConfigName
-
-        return tuple(c.value for c in ConfigName.paper_trio())
+        return self.configs or _paper_trio()
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -325,6 +330,16 @@ class PlanAssignment:
         object.__setattr__(
             self, "energy_j", _check_non_negative("energy_j", self.energy_j)
         )
+
+    @classmethod
+    def _trusted(cls, **fields: Any) -> "PlanAssignment":
+        """Build from fields that are already canonical, skipping
+        ``__post_init__``: the planner's values come from a validated
+        :class:`PlanRequest` and the engine, and every plan passes
+        :func:`repro.plan.check_plan` before it is returned."""
+        self = object.__new__(cls)
+        self.__dict__.update(fields)
+        return self
 
     @property
     def time_s(self) -> float:

@@ -21,7 +21,9 @@ servers can negotiate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Mapping
 
 from repro.api.errors import SchemaVersionError, ValidationError
@@ -118,14 +120,28 @@ def _canonical_config(value: Any) -> str:
     (``"Cache Mode"``), case-insensitively, so wire clients never need
     the Python enum.
     """
+    text = _check_str("config", value)
+    canonical = _config_aliases().get(text.lower())
+    if canonical is None:
+        options = ", ".join(dict.fromkeys(_config_aliases().values()))
+        raise ValidationError(
+            f"unknown config {value!r}; expected one of {options}"
+        )
+    return canonical
+
+
+@functools.cache
+def _config_aliases() -> Mapping[str, str]:
+    """Lower-cased ``ConfigName`` member names and values -> the value,
+    in member order.  Built on first use: ``repro.core`` resolves this
+    module at import time."""
     from repro.core.configs import ConfigName
 
-    text = _check_str("config", value)
+    aliases: dict[str, str] = {}
     for name in ConfigName:
-        if text.lower() in (name.name.lower(), name.value.lower()):
-            return name.value
-    options = ", ".join(n.value for n in ConfigName)
-    raise ValidationError(f"unknown config {value!r}; expected one of {options}")
+        aliases.setdefault(name.name.lower(), name.value)
+        aliases.setdefault(name.value.lower(), name.value)
+    return MappingProxyType(aliases)
 
 
 def _canonical_machine(value: Any) -> str:

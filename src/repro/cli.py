@@ -33,7 +33,7 @@ from repro.checks.checker import InvariantViolation, check_mode_from_env
 from repro.core.advisor import PlacementAdvisor
 from repro.core.executor import SweepExecutor
 from repro.core.runner import ExperimentRunner
-from repro.figures import EXHIBITS
+from repro.figures import EXHIBITS, FIXED_TO_KNL
 from repro.machine import registry
 from repro.machine.topology import ThreadCapacityError
 from repro.memory.modes import MCDRAMConfig
@@ -969,7 +969,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         _report_stats(executor)
         return 0
     executor = _build_executor(args)
-    for exhibit_id in (EXHIBITS if command == "all" else (command,)):
+    exhibit_ids = tuple(EXHIBITS) if command == "all" else (command,)
+    for exhibit_id in exhibit_ids:
         try:
             exhibit = EXHIBITS[exhibit_id](executor)
         except ThreadCapacityError as exc:
@@ -978,6 +979,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(exhibit.render())
         if command == "all":
             print()
+    fixed = [e for e in exhibit_ids if e in FIXED_TO_KNL]
+    if fixed and args.machine != "knl7210":
+        print(
+            f"[repro] {', '.join(fixed)}: fixed to the paper's KNL presets, "
+            f"--machine {args.machine} does not apply",
+            file=sys.stderr,
+        )
     _report_stats(executor)
     return 0
 

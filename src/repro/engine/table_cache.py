@@ -25,7 +25,10 @@ One entry therefore covers one (machine, model version, configuration)
 and accumulates every footprint/thread/write-fraction slice ever seen:
 :meth:`TableCache.store` merges with the existing payload (read – merge –
 atomic replace), so a grid that extends a cached config space reuses the
-overlapping slices and only the new cells are computed.
+overlapping slices and only the new cells are computed.  The read –
+merge – replace runs under an exclusive ``flock`` on the key's
+``tables-<key>.lock`` file, so writers in any thread or process
+serialize and none loses another's slices.
 
 Bit identity
 ------------
@@ -44,11 +47,13 @@ docs/OBSERVABILITY.md.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import json
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.engine.batch import TABLES_VERSION
 from repro.obs import metrics as obs_metrics
@@ -104,8 +109,9 @@ class TableCache:
     """On-disk store of :meth:`ModelTables.snapshot` payloads by key.
 
     Thread-safe; safe for concurrent processes sharing a directory
-    (atomic replace, merge-on-store, checksum-verified loads).  Lives in
-    a subdirectory of the run-result cache by default (see
+    (atomic replace, merge-on-store under a per-key file lock,
+    checksum-verified loads).  Lives in a subdirectory of the
+    run-result cache by default (see
     :class:`repro.core.executor.SweepExecutor`).
     """
 
@@ -120,6 +126,14 @@ class TableCache:
 
     def _path(self, key: str) -> Path:
         return self.directory / f"tables-{key}.json"
+
+    @contextlib.contextmanager
+    def _key_lock(self, key: str) -> Iterator[None]:
+        """Hold an exclusive lock on ``key``'s entry across threads and
+        processes (closing the lock file releases it)."""
+        with open(self.directory / f"tables-{key}.lock", "a") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+            yield
 
     @staticmethod
     def _decode(raw: str) -> dict[str, Any] | None:
@@ -148,7 +162,7 @@ class TableCache:
                 return None
             payload = self._decode(raw)
             if payload is None:
-                self._discard_corrupt(path)
+                self._discard_corrupt(key)
                 return None
             self.hits += 1
             obs_metrics.add("tables.cache_hits")
@@ -157,13 +171,12 @@ class TableCache:
     def store(self, key: str, payload: dict[str, Any]) -> None:
         """Merge ``payload`` into the entry for ``key`` and persist it.
 
-        Read – merge – atomic replace: an entry only ever grows, so an
-        extending grid's slices accumulate and concurrent writers cannot
-        clobber each other's footprints (last merge sees both files'
-        union of its own read).
+        Read – merge – atomic replace under the key's file lock: an
+        entry only ever grows, so an extending grid's slices accumulate,
+        and each concurrent writer merges into what the last one wrote.
         """
         path = self._path(key)
-        with self._lock, obs_trace.span("tables.store"):
+        with self._lock, self._key_lock(key), obs_trace.span("tables.store"):
             try:
                 existing = self._decode(path.read_text())
             except OSError:
@@ -184,14 +197,15 @@ class TableCache:
         store rebuilds it from scratch.
         """
         with self._lock:
-            self._discard_corrupt(self._path(key))
+            self._discard_corrupt(key)
 
-    def _discard_corrupt(self, path: Path) -> None:
+    def _discard_corrupt(self, key: str) -> None:
         self.corrupt += 1
         self.misses += 1
         obs_metrics.add("tables.cache_corrupt")
         obs_metrics.add("tables.cache_misses")
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        with self._key_lock(key):
+            try:
+                self._path(key).unlink()
+            except OSError:
+                pass

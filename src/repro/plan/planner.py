@@ -13,9 +13,11 @@ Given a declarative traffic mix and a machine pool
    :meth:`~repro.api.facade.Predictor.predict` of the same query and
    shares the run cache and the persistent table cache (a prewarmed
    deployment plans with **zero** table builds);
-2. **prices** each candidate: its busy-node load by Little's law
-   (``weight * time_s``, per item) and its energy per arrival through
-   :class:`~repro.engine.energy.EnergyModel` (once per distinct spec);
+2. **ranks** each spec's options once by (unit cost, machine, config),
+   the unit cost being ``time_ns`` or the energy per arrival from
+   :class:`~repro.engine.energy.EnergyModel`; each item adds only its
+   load (``weight * time_s``, Little's law) and cost, and is re-sorted
+   only where two adjacent products round equal;
 3. **solves** the placement: deterministic greedy best-fit-decreasing
    (hardest items first, each on its cheapest candidate that still
    fits), minimizing aggregate runtime load or aggregate energy under
@@ -41,7 +43,6 @@ identity test pins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.api.errors import InfeasiblePlanError, PlanError, ValidationError
@@ -68,25 +69,12 @@ _REL_TOL = 1e-9
 #: one share its predictions.
 _Spec = tuple[str, float, int]
 
+#: One feasible (machine, config) placement of a spec, priced once.
+_Option = tuple[Query, PredictionResult, float]
 
-@dataclass(frozen=True)
-class _Candidate:
-    """One evaluated (item, machine, config) placement option."""
-
-    item_index: int
-    query: Query
-    result: PredictionResult
-    load_nodes: float
-    energy_j: float
-    cost: float
-
-    @property
-    def machine(self) -> str:
-        return self.query.machine
-
-    @property
-    def config(self) -> str:
-        return self.query.config
+#: One item's row: its options cheapest first, with the item's load
+#: and cost of each, index for index.
+_Row = tuple[Sequence[_Option], list[float], list[float]]
 
 
 class CapacityPlanner:
@@ -107,12 +95,13 @@ class CapacityPlanner:
         self.energy_model = EnergyModel(energy_params)
 
     # -- evaluation -----------------------------------------------------------
-    def _priced_options(
+    def _ranked_options(
         self, request: PlanRequest, specs: Sequence[_Spec]
-    ) -> dict[_Spec, list[tuple[Query, PredictionResult, float]]]:
+    ) -> dict[_Spec, list[_Option]]:
         """Each distinct ``(workload, size_gb, num_threads)`` spec's
-        feasible ``(query, result, energy_j)`` options over the pool,
-        evaluated as dense per-machine batches (the bit-identity path)."""
+        feasible options over the pool, sorted by (unit cost, machine,
+        config) and evaluated as dense per-machine batches (the
+        bit-identity path)."""
         kept: list[tuple[_Spec, Query]] = []
         cells = []
         for spec in specs:
@@ -138,9 +127,7 @@ class CapacityPlanner:
         by_machine: dict[str, list[int]] = {}
         for i, (_, query) in enumerate(kept):
             by_machine.setdefault(query.machine, []).append(i)
-        options: dict[_Spec, list[tuple[Query, PredictionResult, float]]] = {
-            spec: [] for spec in specs
-        }
+        options: dict[_Spec, list[_Option]] = {spec: [] for spec in specs}
         for machine, indices in by_machine.items():
             records = self.predictor.executor(machine).run_cells(
                 [cells[i] for i in indices]
@@ -155,15 +142,21 @@ class CapacityPlanner:
                 )
                 assert estimate is not None  # feasible => run_result set
                 options[spec].append((query, result, estimate.total_j))
+        energy = request.objective == "energy"
+        for ranked in options.values():
+            ranked.sort(
+                key=lambda o: (
+                    o[2] if energy else o[1].time_ns, o[0].machine, o[0].config
+                )
+            )
         return options
 
-    def _candidates(self, request: PlanRequest) -> list[list[_Candidate]]:
-        """Per-item feasible candidates, sorted by ``(cost, machine,
-        config)``.
+    def _rows(self, request: PlanRequest) -> list[_Row]:
+        """Per-item rows, each sorted by ``(cost, machine, config)``.
 
         Items that share a ``(workload, size_gb, num_threads)`` spec
-        share its predictions and energy estimates, which are priced
-        once; only the weight-dependent load and cost are per item.
+        share its ranked options; only the weight-dependent load and
+        cost are per item.
         """
         spec_of = [
             (item.workload, item.size_gb, item.num_threads)
@@ -175,27 +168,29 @@ class CapacityPlanner:
         # everywhere" — surface them before any fan-out.
         for workload, size_gb, _ in specs:
             sized_workload(workload, size_gb)
-        priced = self._priced_options(request, specs)
+        ranked = self._ranked_options(request, specs)
         energy = request.objective == "energy"
-        per_item: list[list[_Candidate]] = []
-        for index, item in enumerate(request.mix):
-            options = []
-            for query, result, energy_j in priced[spec_of[index]]:
-                load = item.weight * result.time_ns * 1e-9  # type: ignore[operator]
-                options.append(
-                    _Candidate(
-                        item_index=index,
-                        query=query,
-                        result=result,
-                        load_nodes=load,
-                        energy_j=energy_j,
-                        cost=item.weight * energy_j if energy else load,
-                    )
+        rows: list[_Row] = []
+        for item, spec in zip(request.mix, spec_of):
+            options: Sequence[_Option] = ranked[spec]
+            weight = item.weight
+            loads = [weight * r.time_ns * 1e-9 for _, r, _ in options]
+            costs = [weight * e for _, _, e in options] if energy else loads
+            # A positive weight keeps the spec's order unless two
+            # adjacent products round equal; then (machine, config)
+            # decides, so re-sort just this item.
+            if any(a == b for a, b in zip(costs, costs[1:])):
+                order = sorted(
+                    range(len(options)),
+                    key=lambda k: (
+                        costs[k], options[k][0].machine, options[k][0].config
+                    ),
                 )
-            # Deterministic candidate order regardless of batch scheduling.
-            options.sort(key=lambda c: (c.cost, c.machine, c.config))
-            per_item.append(options)
-        return per_item
+                options = [options[k] for k in order]
+                loads = [loads[k] for k in order]
+                costs = [costs[k] for k in order] if energy else loads
+            rows.append((options, loads, costs))
+        return rows
 
     # -- solving --------------------------------------------------------------
     @staticmethod
@@ -203,13 +198,12 @@ class CapacityPlanner:
         return load <= remaining + abs(remaining) * _REL_TOL + 1e-12
 
     def _greedy(
-        self,
-        request: PlanRequest,
-        per_item: Sequence[Sequence[_Candidate]],
-    ) -> list[_Candidate]:
+        self, request: PlanRequest, rows: Sequence[_Row]
+    ) -> list[tuple[_Option, float, float]]:
+        """Each item's chosen ``(option, load, cost)``."""
         missing = [
             request.mix[i].workload
-            for i, options in enumerate(per_item)
+            for i, (options, _, _) in enumerate(rows)
             if not options
         ]
         if missing:
@@ -220,19 +214,17 @@ class CapacityPlanner:
             )
         remaining = {entry.machine: float(entry.nodes) for entry in request.pool}
         # Best-fit decreasing: place the hardest items (largest best-case
-        # cost) first, while capacity is still fungible.
-        order = sorted(
-            range(len(per_item)),
-            key=lambda i: (-per_item[i][0].cost, i),
-        )
-        chosen: list[_Candidate | None] = [None] * len(per_item)
+        # cost) first, while capacity is still fungible; the sort is
+        # stable, so equal costs keep mix order.
+        order = sorted(range(len(rows)), key=lambda i: -rows[i][2][0])
+        chosen: list = [None] * len(rows)
         for index in order:
-            placed = None
-            for candidate in per_item[index]:
-                if self._fits(candidate.load_nodes, remaining[candidate.machine]):
-                    placed = candidate
+            options, loads, costs = rows[index]
+            for k, option in enumerate(options):
+                machine = option[0].machine
+                if self._fits(loads[k], remaining[machine]):
                     break
-            if placed is None:
+            else:
                 item = request.mix[index]
                 raise InfeasiblePlanError(
                     f"mix item {index} ({item.workload}, "
@@ -243,10 +235,9 @@ class CapacityPlanner:
                         "remaining_nodes": dict(remaining),
                     },
                 )
-            chosen[index] = placed
-            remaining[placed.machine] -= placed.load_nodes
-        assert all(c is not None for c in chosen)
-        return chosen  # type: ignore[return-value]
+            chosen[index] = (option, loads[k], costs[k])
+            remaining[machine] -= loads[k]
+        return chosen
 
     # -- entry point ----------------------------------------------------------
     def plan(self, request: PlanRequest) -> PlanResult:
@@ -258,25 +249,29 @@ class CapacityPlanner:
             "objective": request.objective,
         }
         with obs_trace.span("plan.solve", tags=tags):
-            per_item = self._candidates(request)
+            rows = self._rows(request)
             obs_metrics.add(
                 "plan.candidates",
-                float(sum(len(options) for options in per_item)),
+                float(sum(len(options) for options, _, _ in rows)),
             )
-            chosen = self._greedy(request, per_item)
+            chosen = self._greedy(request, rows)
+            # Every field comes from the validated request or the engine,
+            # and check_plan audits the assembled plan below.
             assignments = tuple(
-                PlanAssignment(
-                    item=request.mix[candidate.item_index],
-                    machine=candidate.machine,
-                    config=candidate.config,
-                    time_ns=candidate.result.time_ns,  # type: ignore[arg-type]
-                    metric=candidate.result.metric,  # type: ignore[arg-type]
-                    metric_name=candidate.result.metric_name,
-                    metric_unit=candidate.result.metric_unit,
-                    load_nodes=candidate.load_nodes,
-                    energy_j=candidate.energy_j,
+                PlanAssignment._trusted(
+                    item=item,
+                    machine=query.machine,
+                    config=query.config,
+                    time_ns=result.time_ns,  # type: ignore[arg-type]
+                    metric=result.metric,  # type: ignore[arg-type]
+                    metric_name=result.metric_name,
+                    metric_unit=result.metric_unit,
+                    load_nodes=load,
+                    energy_j=energy_j,
                 )
-                for candidate in chosen
+                for item, ((query, result, energy_j), load, _) in zip(
+                    request.mix, chosen
+                )
             )
             totals = {entry.machine: 0.0 for entry in request.pool}
             for assignment in assignments:
@@ -292,7 +287,7 @@ class CapacityPlanner:
             result = PlanResult(
                 assignments=assignments,
                 objective=request.objective,
-                objective_value=sum(c.cost for c in chosen),
+                objective_value=sum(cost for _, _, cost in chosen),
                 loads=loads,
             )
             violations = check_plan(request, result)

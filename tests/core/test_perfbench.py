@@ -10,6 +10,7 @@ carried over from the existing file, and the engine file preserves the
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from repro.core.perfbench import (
     RECALIBRATION_NOTE,
@@ -93,7 +94,7 @@ class TestServeBenchHistory:
         path = str(tmp_path / "BENCH_serve.json")
         write_serve_bench_json(dict(self.DOCUMENT), path)
         write_serve_bench_json(dict(self.DOCUMENT), path)
-        document = json.loads(open(path).read())
+        document = json.loads(Path(path).read_text())
         assert len(document["history"]) == 2
         assert all(
             h["speedup_coalesced_vs_naive"] == 3.1 for h in document["history"]
@@ -109,7 +110,7 @@ class TestServeBenchHistory:
             }
         }
         write_serve_bench_json(sharded, path)
-        entry = json.loads(open(path).read())["history"][0]
+        entry = json.loads(Path(path).read_text())["history"][0]
         assert entry["speedup_vs_min"] == {"1": 1.0, "4": 3.8}
         assert entry["parallel_efficiency"] == {"1": 1.0, "4": 0.95}
 

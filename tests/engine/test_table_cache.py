@@ -23,11 +23,17 @@ These tests pin:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 import repro.engine.table_cache as table_cache_module
 from repro.core.configs import ConfigName, make_config
 from repro.core.executor import SweepCell, SweepExecutor, executor_from_env
@@ -269,11 +275,42 @@ class TestExecutorWiring:
         assert ex.table_cache.directory == tmp_path
 
 
+def _assert_every_slice_kept(directory, key) -> None:
+    reader = TableCache(directory)
+    payload = reader.load(key)
+    assert payload is not None
+    assert reader.corrupt == 0
+    expected = {str(i): float(i) for i in range(200)}
+    assert payload == {"a": expected, "b": expected}
+    # No temporary file outlives its writer; the key's lock file stays.
+    assert sorted(p.name for p in directory.iterdir()) == [
+        f"tables-{key}.json",
+        f"tables-{key}.lock",
+    ]
+
+
+#: One writer process: reports ready, waits for ``go``, then stores 200
+#: slices.
+_WRITER = """
+import sys, time
+from pathlib import Path
+from repro.engine.table_cache import TableCache
+directory, key, tag, go = sys.argv[1:]
+cache = TableCache(directory)
+Path(go + "-" + tag).touch()
+while not Path(go).exists():
+    time.sleep(0.0005)
+for i in range(200):
+    cache.store(key, {tag: {str(i): float(i)}})
+"""
+
+
 class TestConcurrentWriters:
     def test_two_caches_storing_one_key_never_collide(self, tmp_path):
-        """Two writers (separate caches, one directory) each rename a
-        temporary file of their own: no writer loses its file to the
-        other, and the surviving entry always verifies."""
+        """Two writers (separate caches, one directory) each store 200
+        disjoint slices into one key: the file lock serializes their
+        read – merge – replace, so all 400 survive and the entry
+        verifies."""
         key = table_key(knl7210(), TRIO[0])
         start = threading.Barrier(2)
         errors: list[BaseException] = []
@@ -294,9 +331,25 @@ class TestConcurrentWriters:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        reader = TableCache(tmp_path)
-        payload = reader.load(key)
-        assert payload is not None
-        assert reader.corrupt == 0
-        assert set(payload) <= {"a", "b"}
-        assert [p.name for p in tmp_path.iterdir()] == [f"tables-{key}.json"]
+        _assert_every_slice_kept(tmp_path, key)
+
+    def test_two_processes_keep_every_slice(self, tmp_path):
+        key = table_key(knl7210(), TRIO[0])
+        cache_dir = tmp_path / "tables"
+        go = tmp_path / "go"
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", _WRITER, str(cache_dir), key, tag, str(go)],
+                env=env,
+            )
+            for tag in "ab"
+        ]
+        deadline = time.monotonic() + 60
+        while not all((tmp_path / f"go-{tag}").exists() for tag in "ab"):
+            assert time.monotonic() < deadline
+            assert all(w.poll() is None for w in writers)
+            time.sleep(0.005)
+        go.touch()
+        assert [w.wait(timeout=120) for w in writers] == [0, 0]
+        _assert_every_slice_kept(cache_dir, key)

@@ -1,34 +1,71 @@
-"""Test oracles for the capacity planner.
+"""A self-contained test oracle for the capacity planner.
 
-:func:`per_item_candidates` is the fan-out as the planner ran it before
-spec deduplication: one query, resolve, prediction and energy estimate
-per (item, machine, config).  :func:`rescanning_local_search` is a
-best-improvement local search whose every round scans every candidate
-of every item.  :class:`ReferencePlanner` solves with both — greedy,
-then the rescanning search — so any difference from
-:class:`~repro.plan.planner.CapacityPlanner` is a regression of the
-optimized fan-out or a move the planner's greedy alone misses.
+:class:`ReferencePlanner` solves a :class:`~repro.api.plan.PlanRequest`
+the plain way, sharing nothing with
+:class:`~repro.plan.planner.CapacityPlanner` but the predictor and the
+energy model:
+
+* :func:`per_item_candidates` — one query, resolve, prediction and
+  energy estimate per (item, machine, config), each item's candidates
+  sorted on their own by ``(cost, machine, config)``;
+* :func:`greedy` — best-fit decreasing over those candidates;
+* :func:`rescanning_local_search` — a best-improvement search whose
+  every round scans every candidate of every item;
+* assembly through the validating :class:`~repro.api.plan.PlanAssignment`
+  and :class:`~repro.api.plan.PlanResult` constructors.
+
+So any difference from the planner is a regression of its per-spec
+ranking, its tie rule, its trusted assembly, or a move its greedy alone
+misses.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
-from repro.api.errors import ValidationError
-from repro.api.facade import sized_workload
-from repro.api.plan import PlanRequest
+from repro.api.errors import InfeasiblePlanError, ValidationError
+from repro.api.facade import Predictor, sized_workload
+from repro.api.plan import MachineLoad, PlanAssignment, PlanRequest, PlanResult
 from repro.api.types import PredictionResult, Query
-from repro.plan.planner import CapacityPlanner, _Candidate
+from repro.engine.energy import EnergyModel
 
 #: Hard ceiling on search improvement rounds (each round applies the
 #: single best improving move).
 _MAX_SEARCH_ROUNDS = 256
 
+#: Relative capacity slack for float sums of loads.
+_REL_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """One evaluated (item, machine, config) placement option."""
+
+    item_index: int
+    query: Query
+    result: PredictionResult
+    load_nodes: float
+    energy_j: float
+    cost: float
+
+    @property
+    def machine(self) -> str:
+        return self.query.machine
+
+    @property
+    def config(self) -> str:
+        return self.query.config
+
+
+def fits(load: float, remaining: float) -> bool:
+    return load <= remaining + abs(remaining) * _REL_TOL + 1e-12
+
 
 def per_item_candidates(
-    planner: CapacityPlanner, request: PlanRequest
-) -> list[list[_Candidate]]:
-    """Per-item feasible candidates, each priced on its own."""
+    planner: "ReferencePlanner", request: PlanRequest
+) -> list[list[Candidate]]:
+    """Per-item feasible candidates, each priced and sorted on its own."""
     for item in request.mix:
         sized_workload(item.workload, item.size_gb)
     kept: list[tuple[int, Query]] = []
@@ -51,7 +88,7 @@ def per_item_candidates(
     by_machine: dict[str, list[int]] = {}
     for i, (_, query) in enumerate(kept):
         by_machine.setdefault(query.machine, []).append(i)
-    per_item: list[list[_Candidate]] = [[] for _ in request.mix]
+    per_item: list[list[Candidate]] = [[] for _ in request.mix]
     for machine, indices in by_machine.items():
         records = planner.predictor.executor(machine).run_cells(
             [cells[i] for i in indices]
@@ -72,7 +109,7 @@ def per_item_candidates(
                 else load
             )
             per_item[item_index].append(
-                _Candidate(
+                Candidate(
                     item_index=item_index,
                     query=query,
                     result=result,
@@ -86,19 +123,64 @@ def per_item_candidates(
     return per_item
 
 
+def greedy(
+    request: PlanRequest, per_item: Sequence[Sequence[Candidate]]
+) -> list[Candidate]:
+    """Best-fit decreasing: items by decreasing cheapest cost (ties in
+    mix order), each on its cheapest candidate that still fits."""
+    missing = [
+        request.mix[i].workload
+        for i, options in enumerate(per_item)
+        if not options
+    ]
+    if missing:
+        raise InfeasiblePlanError(
+            "no feasible (machine, config) candidate for mix item(s): "
+            + ", ".join(missing),
+            details={"items": missing},
+        )
+    remaining = {entry.machine: float(entry.nodes) for entry in request.pool}
+    order = sorted(
+        range(len(per_item)), key=lambda i: (-per_item[i][0].cost, i)
+    )
+    chosen: list[Candidate | None] = [None] * len(per_item)
+    for index in order:
+        placed = next(
+            (
+                c
+                for c in per_item[index]
+                if fits(c.load_nodes, remaining[c.machine])
+            ),
+            None,
+        )
+        if placed is None:
+            item = request.mix[index]
+            raise InfeasiblePlanError(
+                f"mix item {index} ({item.workload}, "
+                f"{item.size_gb:g} GB, weight {item.weight:g}) does not "
+                "fit the remaining node capacity on any machine",
+                details={
+                    "item": item.to_dict(),
+                    "remaining_nodes": dict(remaining),
+                },
+            )
+        chosen[index] = placed
+        remaining[placed.machine] -= placed.load_nodes
+    return chosen  # type: ignore[return-value]
+
+
 def rescanning_local_search(
-    planner: CapacityPlanner,
     request: PlanRequest,
-    per_item: Sequence[Sequence[_Candidate]],
-    chosen: list[_Candidate],
-) -> list[_Candidate]:
+    per_item: Sequence[Sequence[Candidate]],
+    chosen: list[Candidate],
+) -> list[Candidate]:
     """Best-improvement search that scans every candidate every round."""
     remaining = {entry.machine: float(entry.nodes) for entry in request.pool}
     for candidate in chosen:
         remaining[candidate.machine] -= candidate.load_nodes
     for _ in range(_MAX_SEARCH_ROUNDS):
         best_delta = 0.0
-        best_move: tuple[int, _Candidate] | None = None
+        best_move: tuple[int, Candidate] | None = None
         for index, current in enumerate(chosen):
             for candidate in per_item[index]:
                 if candidate is current:
@@ -109,7 +191,7 @@ def rescanning_local_search(
                 free = remaining[candidate.machine]
                 if candidate.machine == current.machine:
                     free += current.load_nodes
-                if not planner._fits(candidate.load_nodes, free):
+                if not fits(candidate.load_nodes, free):
                     continue
                 best_delta = delta
                 best_move = (index, candidate)
@@ -123,15 +205,46 @@ def rescanning_local_search(
     return chosen
 
 
-class ReferencePlanner(CapacityPlanner):
-    """The planner with both reference paths swapped in."""
+class ReferencePlanner:
+    """Per-item candidates, greedy, rescanning search, validated
+    assembly."""
 
-    _candidates = per_item_candidates
+    def __init__(self, predictor: Predictor) -> None:
+        self.predictor = predictor
+        self.energy_model = EnergyModel()
 
-    def _greedy(
-        self,
-        request: PlanRequest,
-        per_item: Sequence[Sequence[_Candidate]],
-    ) -> list[_Candidate]:
-        chosen = super()._greedy(request, per_item)
-        return rescanning_local_search(self, request, per_item, chosen)
+    def plan(self, request: PlanRequest) -> PlanResult:
+        per_item = per_item_candidates(self, request)
+        chosen = rescanning_local_search(
+            request, per_item, greedy(request, per_item)
+        )
+        assignments = tuple(
+            PlanAssignment(
+                item=request.mix[c.item_index],
+                machine=c.machine,
+                config=c.config,
+                time_ns=c.result.time_ns,
+                metric=c.result.metric,
+                metric_name=c.result.metric_name,
+                metric_unit=c.result.metric_unit,
+                load_nodes=c.load_nodes,
+                energy_j=c.energy_j,
+            )
+            for c in chosen
+        )
+        totals = {entry.machine: 0.0 for entry in request.pool}
+        for assignment in assignments:
+            totals[assignment.machine] += assignment.load_nodes
+        return PlanResult(
+            assignments=assignments,
+            objective=request.objective,
+            objective_value=sum(c.cost for c in chosen),
+            loads=tuple(
+                MachineLoad(
+                    machine=entry.machine,
+                    nodes=entry.nodes,
+                    load_nodes=totals[entry.machine],
+                )
+                for entry in request.pool
+            ),
+        )

@@ -24,9 +24,9 @@ from repro.api.plan import (
     PoolEntry,
     TrafficItem,
 )
-from repro.api.types import Query
+from repro.api.types import PredictionResult, Query
 from repro.plan import CapacityPlanner, check_plan, plan_request
-from tests.plan.reference_planner import ReferencePlanner
+from tests.plan.reference_planner import ReferencePlanner, per_item_candidates
 
 MIX = (
     TrafficItem(workload="dgemm", size_gb=12.0, num_threads=64, weight=0.001),
@@ -93,8 +93,13 @@ class TestSolve:
                 PoolEntry(machine=e.machine, nodes=10_000) for e in POOL
             ),
         )
-        per_item = planner._candidates(request)
+        per_item = per_item_candidates(ReferencePlanner(planner.predictor), request)
         result = planner.plan(request)
+        for assignment, options in zip(result.assignments, per_item):
+            assert (assignment.machine, assignment.config) == (
+                options[0].machine,
+                options[0].config,
+            )
         assert result.objective_value == pytest.approx(
             sum(options[0].cost for options in per_item), rel=1e-12
         )
@@ -376,15 +381,15 @@ class TestDeduplicatedFanOut:
         item = MIX[0]
         request = PlanRequest(
             mix=(item, TrafficItem(item.workload, item.size_gb, item.num_threads, 0.5)),
-            pool=POOL,
+            pool=tuple(PoolEntry(e.machine, 10_000) for e in POOL),
         )
-        first, second = planner._candidates(request)
+        first, second = per_item_candidates(ReferencePlanner(planner.predictor), request)
         assert len(first) == len(second) > 0
-        for a, b in zip(first, second):
-            assert a is not b
-            assert (a.item_index, b.item_index) == (0, 1)
-            assert a.result.time_ns == b.result.time_ns
-            assert b.load_nodes == 0.5 * b.result.time_ns * 1e-9
+        a, b = planner.plan(request).assignments
+        assert (a.machine, a.config) == (b.machine, b.config)
+        assert a.time_ns == b.time_ns
+        assert a.load_nodes == item.weight * a.time_ns * 1e-9
+        assert b.load_nodes == 0.5 * b.time_ns * 1e-9
 
     def test_distinct_specs_are_resolved_once(self, predictor, monkeypatch):
         calls = []
@@ -397,3 +402,54 @@ class TestDeduplicatedFanOut:
         assert len(calls) == request.candidate_count() // 4
         assert len(result.assignments) == 4 * len(MIX)
 
+
+
+class TestTieBreak:
+    """Ranking a spec once by unit cost agrees with sorting each item by
+    cost, even where a weight rounds two distinct times to one load."""
+
+    WEIGHT = 0.659
+    T1 = 763798241.5147164
+    T2 = math.nextafter(T1, math.inf)
+
+    def _options(self):
+        # The faster option sorts after the slower one by (machine, config).
+        def option(machine, config, time_ns):
+            query = Query("dgemm", 12.0, config, 64, machine)
+            result = PredictionResult(
+                query, 1.0, "GFLOPS", "GFLOP/s", time_ns=time_ns
+            )
+            return (query, result, 100.0)
+
+        return [
+            option("xeonmax9480", "DRAM", self.T1),
+            option("knl7210", "HBM", self.T2),
+        ]
+
+    def test_the_weight_rounds_both_times_to_one_load(self):
+        assert self.T1 < self.T2
+        assert (self.WEIGHT * self.T1) * 1e-9 == (self.WEIGHT * self.T2) * 1e-9
+
+    def test_item_order_is_a_plain_sort_by_cost(self, predictor, monkeypatch):
+        planner = CapacityPlanner(predictor)
+        monkeypatch.setattr(
+            planner,
+            "_ranked_options",
+            lambda request, specs: {spec: self._options() for spec in specs},
+        )
+        item = TrafficItem("dgemm", 12.0, 64, self.WEIGHT)
+        request = PlanRequest(
+            mix=(item,),
+            pool=tuple(PoolEntry(e.machine, 10_000) for e in POOL),
+        )
+        ((options, loads, costs),) = planner._rows(request)
+        plain = sorted(
+            (self.WEIGHT * r.time_ns * 1e-9, q.machine, q.config)
+            for q, r, _ in self._options()
+        )
+        assert [(c, q.machine, q.config) for c, (q, _, _) in zip(costs, options)] == plain
+        assert loads == costs
+        # The greedy order key is the item's cheapest cost.
+        assert costs[0] == plain[0][0]
+        (assignment,) = planner.plan(request).assignments
+        assert (assignment.machine, assignment.config) == ("knl7210", "HBM")

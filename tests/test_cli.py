@@ -106,6 +106,34 @@ class TestCLIMachine:
         ]
 
 
+    @pytest.mark.parametrize(
+        "machine, command",
+        [
+            ("nvmsim", "fig3"),
+            ("xeonmax9480", "table2"),
+            ("knl7250", "table1"),
+            ("nvmsim", "fig1"),
+        ],
+    )
+    def test_exhibit_fixed_to_knl_notes_the_ignored_machine(
+        self, capsys, machine, command
+    ):
+        assert main([command]) == 0
+        default = capsys.readouterr()
+        assert default.err == ""
+        assert main(["--machine", machine, command]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == default.out
+        assert captured.err.splitlines() == [
+            f"[repro] {command}: fixed to the paper's KNL presets, "
+            f"--machine {machine} does not apply"
+        ]
+
+    def test_machine_dependent_exhibit_has_no_note(self, capsys):
+        assert main(["--machine", "knl7250", "fig4a"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestCLIObservability:
     def test_trace_and_metrics_files_written(self, capsys, tmp_path):
         trace_path = tmp_path / "t.json"
