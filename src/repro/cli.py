@@ -910,7 +910,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             for size in args.fleet_sizes:
                 row = document["planner"]["details"][str(size)]
                 print(
-                    f"fleet {size:>5}  solve {row['latency_ms']:9.1f} ms  "
+                    f"fleet {size:>5}  cold {row['latency_ms']:7.1f} ms "
+                    f"(IQR {row['iqr_ms']:.1f})  "
+                    f"warm {row['warm_latency_ms']:7.1f} ms "
+                    f"(IQR {row['warm_iqr_ms']:.1f})  "
                     f"candidates {row['candidates']:>5}  "
                     f"nodes/machine {row['nodes_per_machine']}"
                 )

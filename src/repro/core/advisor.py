@@ -91,6 +91,7 @@ class PlacementAdvisor:
             profile.dominant_pattern,
             workload.footprint_bytes,
             placement.max_threads_per_core,
+            hbm_capacity_bytes=self.runner.machine.near_device().capacity_bytes,
         )
         return Recommendation(
             workload=workload.spec.name,

@@ -8,29 +8,39 @@ re-runs accumulate a trajectory instead of overwriting it.
 
 Honesty rules:
 
-* every fleet size gets a **fresh** predictor — otherwise the run cache
-  warmed by fleet N makes fleet 10N artificially fast;
+* every fleet size is solved :data:`REPEATS` times **cold**, each on a
+  fresh predictor and planner — otherwise the run cache and the
+  planner's priced-option memo, warmed by one solve, make the next
+  artificially fast — and recorded as the median with its IQR, since a
+  single solve is noise;
+* a **warm** row times :data:`REPEATS` repeat solves on the last cold
+  planner, which shows what the memo saves a long-lived server;
 * the synthetic mix is a pure function of the item index (no
   randomness), so the measured problem is identical across runs and
   machines;
 * if a fleet does not fit the starting pool, the pool's node counts are
-  escalated deterministically until it does, and only the successful
-  solve is timed (the escalation count is recorded).
+  escalated deterministically, on a planner of its own, until it does;
+  only solves of the fitting request are timed (the escalation count is
+  recorded).
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from typing import Any, Sequence
 
 from repro.api.errors import InfeasiblePlanError
 from repro.api.facade import Predictor
-from repro.api.plan import PlanRequest, PoolEntry, TrafficItem
+from repro.api.plan import PlanRequest, PlanResult, PoolEntry, TrafficItem
 from repro.plan.planner import CapacityPlanner
 
-__all__ = ["DEFAULT_FLEET_SIZES", "synthetic_request", "measure_plan"]
+__all__ = ["DEFAULT_FLEET_SIZES", "REPEATS", "synthetic_request", "measure_plan"]
 
 DEFAULT_FLEET_SIZES = (10, 100, 1000)
+
+#: Cold solves per fleet size (and warm repeats on the last planner).
+REPEATS = 5
 
 #: The deterministic item template cycle: (workload, size_gb, threads).
 _ITEM_CYCLE = (
@@ -79,36 +89,64 @@ def synthetic_request(
     return PlanRequest(mix=tuple(mix), pool=tuple(pool), objective=objective)
 
 
-def _solve_timed(
-    planner: CapacityPlanner, fleet_size: int
-) -> dict[str, Any]:
-    """Solve one synthetic fleet, escalating the pool until feasible;
-    time only the successful solve."""
+def _fitting_request(
+    fleet_size: int, table_cache_dir: Any
+) -> tuple[PlanRequest, int, PlanResult]:
+    """The fleet's request on the first escalated pool that fits it, the
+    number of escalations that took, and its plan."""
+    planner = CapacityPlanner(Predictor(table_cache_dir=table_cache_dir))
     nodes = max(4, fleet_size // 4)
     for escalations in range(_MAX_ESCALATIONS):
         request = synthetic_request(fleet_size, nodes_per_machine=nodes)
         try:
-            started = time.perf_counter()
             result = planner.plan(request)
-            elapsed = time.perf_counter() - started
         except InfeasiblePlanError:
             nodes *= _ESCALATION
             continue
-        return {
-            "latency_ms": elapsed * 1e3,
-            "nodes_per_machine": nodes,
-            "escalations": escalations,
-            "candidates": request.candidate_count(),
-            "distinct_specs": len(
-                {(i.workload, i.size_gb, i.num_threads) for i in request.mix}
-            ),
-            "objective_value": result.objective_value,
-            "assignments": len(result.assignments),
-        }
+        return request, escalations, result
     raise InfeasiblePlanError(
         f"synthetic fleet of {fleet_size} never became feasible after "
         f"{_MAX_ESCALATIONS} pool escalations"
     )
+
+
+def _timed_ms(planner: CapacityPlanner, request: PlanRequest) -> float:
+    started = time.perf_counter()
+    planner.plan(request)
+    return (time.perf_counter() - started) * 1e3
+
+
+def _median_iqr(samples: Sequence[float]) -> tuple[float, float]:
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return median, q3 - q1
+
+
+def _measure_fleet(fleet_size: int, table_cache_dir: Any) -> dict[str, Any]:
+    """Cold and warm solve times of one synthetic fleet."""
+    request, escalations, result = _fitting_request(fleet_size, table_cache_dir)
+    cold = []
+    for _ in range(REPEATS):
+        planner = CapacityPlanner(Predictor(table_cache_dir=table_cache_dir))
+        cold.append(_timed_ms(planner, request))
+    warm = [_timed_ms(planner, request) for _ in range(REPEATS)]
+    cold_median, cold_iqr = _median_iqr(cold)
+    warm_median, warm_iqr = _median_iqr(warm)
+    return {
+        "latency_ms": cold_median,
+        "iqr_ms": cold_iqr,
+        "warm_latency_ms": warm_median,
+        "warm_iqr_ms": warm_iqr,
+        "cold_ms": cold,
+        "warm_ms": warm,
+        "nodes_per_machine": request.pool[0].nodes,
+        "escalations": escalations,
+        "candidates": request.candidate_count(),
+        "distinct_specs": len(
+            {(i.workload, i.size_gb, i.num_threads) for i in request.mix}
+        ),
+        "objective_value": result.objective_value,
+        "assignments": len(result.assignments),
+    }
 
 
 def measure_plan(
@@ -117,31 +155,38 @@ def measure_plan(
     table_cache_dir: Any = None,
 ) -> dict[str, Any]:
     """The ``repro bench plan`` document: planner latency vs fleet size."""
-    latency_ms: dict[str, float] = {}
-    details: dict[str, Any] = {}
-    for fleet_size in fleet_sizes:
-        predictor = Predictor(table_cache_dir=table_cache_dir)
-        row = _solve_timed(CapacityPlanner(predictor), fleet_size)
-        latency_ms[str(fleet_size)] = row["latency_ms"]
-        details[str(fleet_size)] = row
+    details = {
+        str(size): _measure_fleet(size, table_cache_dir) for size in fleet_sizes
+    }
+
+    def column(name: str) -> dict[str, float]:
+        return {size: row[name] for size, row in details.items()}
+
     return {
         "benchmark": "plan",
         "fleet_sizes": list(fleet_sizes),
         "pool_machines": list(_POOL_MACHINES),
         "planner": {
-            "latency_ms": latency_ms,
+            "repeats": REPEATS,
+            "latency_ms": column("latency_ms"),
+            "iqr_ms": column("iqr_ms"),
+            "warm_latency_ms": column("warm_latency_ms"),
+            "warm_iqr_ms": column("warm_iqr_ms"),
             "details": details,
         },
         "note": (
             "Latency of CapacityPlanner.plan on deterministic synthetic "
-            "mixes; each fleet size runs on a fresh predictor so the run "
-            "cache never flatters larger fleets.  Candidates are priced "
-            "once per distinct spec x (machine, config), and the synthetic "
-            "mix cycles through distinct_specs = 8 specs, so every fleet "
-            "size evaluates the same model cells: they set the 10-item "
-            "latency.  What grows with the fleet is per-item work (load "
-            "and cost per candidate, greedy, the plan audit), far below "
-            "linear in candidate_count = items x sum(configs per pool "
-            "entry)."
+            "mixes.  latency_ms is the median of `repeats` cold solves, "
+            "each on a fresh predictor and planner so neither the run "
+            "cache nor the priced-option memo flatters a solve; iqr_ms is "
+            "their interquartile range.  warm_latency_ms repeats the solve "
+            "on the last cold planner, whose memo already holds every "
+            "option: no model evaluation or energy pricing, only ranking, "
+            "per-item rows, greedy, assembly and the plan audit.  Options "
+            "are priced once per distinct spec x (machine, config), and "
+            "the synthetic mix cycles through distinct_specs = 8 specs, so "
+            "every fleet size evaluates the same model cells; what grows "
+            "with the fleet is per-item work, far below linear in "
+            "candidate_count = items x sum(configs per pool entry)."
         ),
     }

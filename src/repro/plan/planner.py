@@ -12,7 +12,14 @@ Given a declarative traffic mix and a machine pool
    candidate's prediction is bit-identical to a direct
    :meth:`~repro.api.facade.Predictor.predict` of the same query and
    shares the run cache and the persistent table cache (a prewarmed
-   deployment plans with **zero** table builds);
+   deployment plans with **zero** table builds).  Each priced option
+   — ``(workload, size_gb, num_threads, machine, config)`` to its
+   ``(Query, PredictionResult, energy_j)``, or to "no candidate" — is
+   remembered for the planner's lifetime in an LRU memo bounded by the
+   predictor's ``cache_size``, so only options no earlier plan priced
+   are resolved, evaluated and energy-priced.  Nothing invalidates it:
+   a planner is tied to one predictor and one energy model, and an
+   executor's answer for a cell never changes;
 2. **ranks** each spec's options once by (unit cost, machine, config),
    the unit cost being ``time_ns`` or the energy per arrival from
    :class:`~repro.engine.energy.EnergyModel`; each item adds only its
@@ -43,6 +50,7 @@ identity test pins.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Sequence
 
 from repro.api.errors import InfeasiblePlanError, PlanError, ValidationError
@@ -72,6 +80,10 @@ _Spec = tuple[str, float, int]
 #: One feasible (machine, config) placement of a spec, priced once.
 _Option = tuple[Query, PredictionResult, float]
 
+#: A priced option's memo key: ``(workload, size_gb, num_threads,
+#: machine, config)``.
+_OptionKey = tuple[str, float, int, str, str]
+
 #: One item's row: its options cheapest first, with the item's load
 #: and cost of each, index for index.
 _Row = tuple[Sequence[_Option], list[float], list[float]]
@@ -81,8 +93,9 @@ class CapacityPlanner:
     """Solves :class:`PlanRequest` specs over a shared predictor.
 
     Like the predictor it wraps, a planner is **not** thread-safe; the
-    serving layer builds one per worker thread on top of that thread's
-    predictor (so plans share the service's executors and caches).
+    serving layer keeps one per worker thread on top of that thread's
+    predictor, so plans share the service's executors and caches, and
+    each thread prices an option once.
     """
 
     def __init__(
@@ -93,27 +106,49 @@ class CapacityPlanner:
     ) -> None:
         self.predictor = predictor if predictor is not None else Predictor()
         self.energy_model = EnergyModel(energy_params)
+        #: Every option this planner has priced, or ``None`` where it
+        #: offers no candidate; least recently used first, and bounded by
+        #: the predictor's run-cache size.
+        self._priced: OrderedDict[_OptionKey, _Option | None] = OrderedDict()
 
     # -- evaluation -----------------------------------------------------------
+    def _remember(self, key: _OptionKey, option: _Option | None) -> None:
+        memo = self._priced
+        memo[key] = option
+        while len(memo) > self.predictor.cache_size:
+            memo.popitem(last=False)
+
     def _ranked_options(
         self, request: PlanRequest, specs: Sequence[_Spec]
     ) -> dict[_Spec, list[_Option]]:
         """Each distinct ``(workload, size_gb, num_threads)`` spec's
         feasible options over the pool, sorted by (unit cost, machine,
-        config) and evaluated as dense per-machine batches (the
-        bit-identity path)."""
-        kept: list[tuple[_Spec, Query]] = []
+        config).  Memo misses are evaluated as dense per-machine batches
+        (the bit-identity path) and remembered, infeasible ones as
+        ``None``."""
+        memo = self._priced
+        options: dict[_Spec, list[_Option]] = {}
+        misses: list[tuple[_OptionKey, Query]] = []
         cells = []
         for spec in specs:
             workload, size_gb, num_threads = spec
+            ranked = options[spec] = []
             for entry in request.pool:
+                machine = entry.machine
                 for config in entry.effective_configs():
+                    key = (workload, size_gb, num_threads, machine, config)
+                    if key in memo:
+                        memo.move_to_end(key)
+                        option = memo[key]
+                        if option is not None:
+                            ranked.append(option)
+                        continue
                     query = Query(
                         workload=workload,
                         size_gb=size_gb,
                         config=config,
                         num_threads=num_threads,
-                        machine=entry.machine,
+                        machine=machine,
                     )
                     try:
                         cell = self.predictor.resolve(query)
@@ -121,27 +156,31 @@ class CapacityPlanner:
                         # Machine-dependent rejection (unsupported memory
                         # mode, thread count over the machine's limit):
                         # this machine simply offers no such candidate.
+                        self._remember(key, None)
                         continue
-                    kept.append((spec, query))
+                    misses.append((key, query))
                     cells.append(cell)
         by_machine: dict[str, list[int]] = {}
-        for i, (_, query) in enumerate(kept):
+        for i, (_, query) in enumerate(misses):
             by_machine.setdefault(query.machine, []).append(i)
-        options: dict[_Spec, list[_Option]] = {spec: [] for spec in specs}
         for machine, indices in by_machine.items():
             records = self.predictor.executor(machine).run_cells(
                 [cells[i] for i in indices]
             )
             for i, record in zip(indices, records):
-                spec, query = kept[i]
+                key, query = misses[i]
                 result = PredictionResult.from_record(query, record)
                 if result.error is not None or result.time_ns is None:
-                    continue  # modelled infeasibility: not a candidate
+                    # Modelled infeasibility: not a candidate.
+                    self._remember(key, None)
+                    continue
                 estimate = self.energy_model.estimate_record(
                     sized_workload(query.workload, query.size_gb), record
                 )
                 assert estimate is not None  # feasible => run_result set
-                options[spec].append((query, result, estimate.total_j))
+                option = (query, result, estimate.total_j)
+                self._remember(key, option)
+                options[key[:3]].append(option)
         energy = request.objective == "energy"
         for ranked in options.values():
             ranked.sort(

@@ -8,11 +8,12 @@ supplies the back half:
 
 * cache misses go to the coalescer under the per-request deadline,
   whose expiry cancels still-queued work;
-* a ``/v1/plan`` solve runs on a pool thread through the
+* a ``/v1/plan`` solve runs on a pool thread through that thread's
   :class:`~repro.plan.planner.CapacityPlanner`.
 
 Evaluation happens on pool threads through **thread-local**
-:class:`~repro.api.facade.Predictor` instances — the batch evaluator
+:class:`~repro.api.facade.Predictor` instances, each with its own
+planner on top — the batch evaluator
 mutates a shared simulated-OS allocator, so predictors must never be
 shared across threads; the service tracks every predictor it created
 and aggregates their executor stats for ``/metrics``.
@@ -165,6 +166,15 @@ class PredictionService(RequestPipeline):
                 self._predictors.append(predictor)
         return predictor
 
+    def _worker_planner(self) -> CapacityPlanner:
+        """This thread's planner, over this thread's predictor (created on
+        first use), so options it priced serve every later plan here."""
+        planner = getattr(self._tls, "planner", None)
+        if planner is None:
+            planner = CapacityPlanner(self._worker_predictor())
+            self._tls.planner = planner
+        return planner
+
     def _tracked_predictors(self) -> list[Predictor]:
         with self._predictors_lock:
             return list(self._predictors)
@@ -203,13 +213,14 @@ class PredictionService(RequestPipeline):
         )
 
     def _plan_on_worker(self, request: PlanRequest) -> PlanResult:
-        """One plan solve on a pool thread, over that thread's predictor
+        """One plan solve on a pool thread, through that thread's planner
         (so candidate evaluation shares the run/table caches every
-        ``/v1/predict`` batch already warmed)."""
+        ``/v1/predict`` batch already warmed, and options priced by an
+        earlier plan on this thread are not priced again)."""
         hook = self.fault_hook
         if hook is not None:
             hook()
-        return CapacityPlanner(self._worker_predictor()).plan(request)
+        return self._worker_planner().plan(request)
 
     async def _solve_plan(
         self, request: PlanRequest, deadline_s: float

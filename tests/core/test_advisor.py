@@ -65,3 +65,44 @@ class TestRecommendations:
         assert "MiniFE" in text
         assert "guideline" in text
         assert "DRAM" in text and "HBM" in text
+
+
+class TestMachineCapacity:
+    """Guidelines are judged against the advised machine's own HBM."""
+
+    def test_xeon_max_rules_use_its_64_gib_hbm(self):
+        from repro.core.runner import ExperimentRunner
+        from repro.machine import registry
+        from repro.workloads.dgemm import DGEMM
+
+        advisor = PlacementAdvisor(ExperimentRunner(registry.build("xeonmax9480")))
+        rec = advisor.recommend(DGEMM.from_array_gb(28.0), 64)
+        # 28 GB fits the Xeon Max's 64 GiB of HBM: the model picks HBM and
+        # the explanation agrees, instead of a 16 GiB "bind to DRAM".
+        assert rec.best is ConfigName.HBM
+        assert [g.rule_id for g in rec.guidelines] == ["seq-fits-hbm"]
+
+    @pytest.mark.parametrize(
+        "workload, threads",
+        [
+            (MiniFE.from_matrix_gb(7.2), 64),
+            (StreamBenchmark(size_bytes=int(18e9)), 64),
+            (StreamBenchmark(size_bytes=int(32e9)), 64),
+            (GUPS.from_table_gb(8.0), 64),
+            (XSBench.from_problem_gb(11.3), 256),
+            (Graph500.from_graph_gb(35.0), 64),
+        ],
+    )
+    def test_knl_rules_are_the_16_gib_ones(self, advisor, workload, threads):
+        from repro.core.guidelines import applicable_guidelines
+
+        rec = advisor.recommend(workload, threads)
+        placement = advisor.runner.machine.place_threads(threads)
+        # The KNL's MCDRAM is exactly the historical 16 GiB default.
+        assert rec.guidelines == tuple(
+            applicable_guidelines(
+                workload.profile().dominant_pattern,
+                workload.footprint_bytes,
+                placement.max_threads_per_core,
+            )
+        )

@@ -1,0 +1,68 @@
+"""`repro bench plan`: repeated cold solves, a warm row, one history row."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.api.facade import Predictor
+from repro.plan.bench import REPEATS, measure_plan, synthetic_request
+from repro.plan.planner import CapacityPlanner
+from repro.serve.loadgen import write_bench_json
+
+
+@pytest.fixture(scope="module")
+def resolves():
+    """Resolve calls made by one cold solve, and by the whole benchmark."""
+    calls = []
+    original = Predictor.resolve
+
+    def counting(self, query):
+        calls.append(query)
+        return original(self, query)
+
+    Predictor.resolve = counting
+    try:
+        request = synthetic_request(8, nodes_per_machine=4)
+        CapacityPlanner(Predictor()).plan(request)
+        one = len(calls)
+        document = measure_plan((8,))
+        return one, len(calls) - one, document
+    finally:
+        Predictor.resolve = original
+
+
+def test_rows_are_medians_with_their_iqr(resolves):
+    _, _, document = resolves
+    planner = document["planner"]
+    row = planner["details"]["8"]
+    assert planner["repeats"] == REPEATS
+    for kind in ("cold", "warm"):
+        samples = row[f"{kind}_ms"]
+        assert len(samples) == REPEATS
+        prefix = "" if kind == "cold" else "warm_"
+        assert min(samples) <= row[f"{prefix}latency_ms"] <= max(samples)
+        assert 0.0 <= row[f"{prefix}iqr_ms"] <= max(samples) - min(samples)
+        assert planner[f"{prefix}latency_ms"]["8"] == row[f"{prefix}latency_ms"]
+        assert planner[f"{prefix}iqr_ms"]["8"] == row[f"{prefix}iqr_ms"]
+
+
+def test_cold_solves_price_afresh_and_warm_ones_do_not(resolves):
+    one, total, document = resolves
+    assert document["planner"]["details"]["8"]["escalations"] == 0
+    # The fitting solve and each cold repeat price every option; the
+    # warm repeats on the last planner price none.
+    assert total == (1 + REPEATS) * one
+
+
+def test_history_keeps_the_cold_medians(resolves, tmp_path):
+    _, _, document = resolves
+    path = str(tmp_path / "BENCH_plan.json")
+    write_bench_json(document, path)
+    write_bench_json(document, path)
+    with open(path, encoding="utf-8") as handle:
+        written = json.load(handle)
+    assert [row["plan_latency_ms"] for row in written["history"]] == [
+        document["planner"]["latency_ms"]
+    ] * 2

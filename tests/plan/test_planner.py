@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api.errors import InfeasiblePlanError, UnknownWorkloadError
+from repro.api.errors import ApiError, InfeasiblePlanError, UnknownWorkloadError
 from repro.api.facade import Predictor
 from repro.api.plan import (
     MachineLoad,
@@ -25,6 +25,7 @@ from repro.api.plan import (
     TrafficItem,
 )
 from repro.api.types import PredictionResult, Query
+from repro.core.executor import SweepExecutor
 from repro.plan import CapacityPlanner, check_plan, plan_request
 from tests.plan.reference_planner import ReferencePlanner, per_item_candidates
 
@@ -303,11 +304,13 @@ ROOMY = 1_000_000
 
 
 def _canonical(planner, request) -> str:
-    """The canonical JSON of a plan, or the typed error it raised."""
+    """The canonical JSON of a plan, or the typed error it raised with
+    its message and details."""
     try:
         return json.dumps(planner.plan(request).to_dict(), sort_keys=True)
-    except InfeasiblePlanError as exc:
-        return f"infeasible: {exc} {exc.details}"
+    except ApiError as exc:
+        details = json.dumps(exc.details, sort_keys=True)
+        return f"{type(exc).__name__}: {exc} {details}"
 
 
 def _pool(kind: str, unconstrained_load: float) -> tuple[PoolEntry, ...]:
@@ -361,7 +364,7 @@ class TestDeduplicatedFanOut:
         request = PlanRequest(mix=mix, pool=_pool(pool_kind, load), objective=objective)
         served = _canonical(planner, request)
         assert served == _canonical(reference, request)
-        if served.startswith("infeasible"):
+        if served.startswith("InfeasiblePlanError"):
             return
         result = planner.plan(request)
         assert check_plan(request, result) == []
@@ -402,6 +405,103 @@ class TestDeduplicatedFanOut:
         assert len(calls) == request.candidate_count() // 4
         assert len(result.assignments) == 4 * len(MIX)
 
+
+
+def _reweighted(mix, factor):
+    return tuple(
+        TrafficItem(i.workload, i.size_gb, i.num_threads, i.weight * factor)
+        for i in mix
+    )
+
+
+#: Requests one planner answers in turn: both objectives, explicit config
+#: subsets, loose, tight and infeasible pools, and specs the earlier
+#: requests already priced, at other weights.
+WARM_SEQUENCE = (
+    PlanRequest(mix=MIX, pool=POOL),
+    PlanRequest(mix=MIX, pool=POOL, objective="energy"),
+    PlanRequest(
+        mix=MIX,
+        pool=(
+            PoolEntry("knl7210", 8, configs=("HBM", "Cache Mode")),
+            PoolEntry("xeonmax9480", 8, configs=("DRAM",)),
+        ),
+    ),
+    PlanRequest(
+        mix=MIX[:1] + _reweighted(MIX, 3.0) + (
+            TrafficItem("graph500", 16.0, 64, 0.002),
+        ),
+        pool=(PoolEntry("knl7210", 1), PoolEntry("xeonmax9480", 1)),
+        objective="energy",
+    ),
+    PlanRequest(
+        mix=(TrafficItem("dgemm", 12.0, 64, 1e6),),
+        pool=(PoolEntry("knl7210", 1, configs=("HBM",)),),
+    ),
+    PlanRequest(
+        mix=(TrafficItem("dgemm", 8.0, 256, 0.001),),
+        pool=(PoolEntry("xeonmax9480", 8),),
+    ),
+    PlanRequest(
+        mix=(MIX[2], TrafficItem("linpack", 4.0, 64, 0.001)),
+        pool=POOL,
+    ),
+    PlanRequest(
+        mix=_reweighted(MIX, 0.5) + (TrafficItem("gups", 8.0, 256, 0.001),),
+        pool=POOL + (PoolEntry("knl7250", 2, configs=("Cache Mode", "DRAM")),),
+        objective="energy",
+    ),
+    PlanRequest(mix=MIX, pool=POOL),
+)
+
+
+class TestPricedOptionMemo:
+    """A planner remembers every option it priced; its answers stay those
+    of a cold solve."""
+
+    def test_warm_answers_match_a_fresh_reference(self):
+        planner = CapacityPlanner(Predictor())
+        outcomes = []
+        for request in WARM_SEQUENCE:
+            served = _canonical(planner, request)
+            assert served == _canonical(ReferencePlanner(Predictor()), request)
+            outcomes.append(served.split(":")[0])
+        # The sequence covers plans and each typed refusal.
+        assert {"InfeasiblePlanError", "UnknownWorkloadError"} <= set(outcomes)
+
+    def test_a_repeat_plan_prices_nothing(self, monkeypatch):
+        predictor = Predictor()
+        planner = CapacityPlanner(predictor)
+        first = [_canonical(planner, request) for request in WARM_SEQUENCE]
+        calls = []
+        resolve, run_cells = predictor.resolve, SweepExecutor.run_cells
+        monkeypatch.setattr(
+            predictor, "resolve", lambda query: calls.append(query) or resolve(query)
+        )
+        monkeypatch.setattr(
+            SweepExecutor,
+            "run_cells",
+            lambda self, cells: calls.append(cells) or run_cells(self, cells),
+        )
+        assert [_canonical(planner, request) for request in WARM_SEQUENCE] == first
+        assert calls == []
+
+    def test_the_memo_stays_within_the_run_cache_bound(self):
+        predictor = Predictor(cache_size=8)
+        planner = CapacityPlanner(predictor)
+        distinct = set()
+        for request in WARM_SEQUENCE:
+            assert _canonical(planner, request) == _canonical(
+                ReferencePlanner(Predictor()), request
+            )
+            assert len(planner._priced) <= 8
+            distinct |= {
+                (i.workload, i.size_gb, i.num_threads, e.machine, c)
+                for i in request.mix
+                for e in request.pool
+                for c in e.effective_configs()
+            }
+        assert len(distinct) > 8
 
 
 class TestTieBreak:

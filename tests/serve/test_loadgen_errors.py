@@ -57,6 +57,12 @@ class _FakeServer:
 
     def close(self) -> None:
         self._closing = True
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does, so the join below returns at once.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._listener.close()
         self._thread.join(timeout=10)
 

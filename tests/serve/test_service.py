@@ -170,6 +170,24 @@ class TestCoalescingIdentity:
         assert first["results"] == second["results"]
 
 
+class TestWorkerPlanners:
+    def test_each_worker_thread_keeps_one_planner_on_its_predictor(self):
+        service = PredictionService()
+        planner = service._worker_planner()
+        assert service._worker_planner() is planner
+        assert planner.predictor is service._worker_predictor()
+        theirs = []
+        thread = threading.Thread(
+            target=lambda: theirs.append(service._worker_planner())
+        )
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        (other,) = theirs
+        assert other is not planner
+        assert other.predictor is not planner.predictor
+
+
 class TestDeadlinesAndBackpressure:
     def test_deadline_exceeded_while_queued(self):
         # The one worker is held inside an evaluation, so the second

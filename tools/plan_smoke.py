@@ -16,7 +16,10 @@ End-to-end over a real deployment:
    be nonzero because newly memoized points merge back to disk), or if
    the planner priced a repeated spec more than once (the mix repeats
    specs with other weights; executor ``hits + misses`` must grow by
-   the number of distinct candidates, not by ``candidate_count``).
+   the number of distinct candidates, not by ``candidate_count``), or
+   if sending the same request again does not return the same plan
+   with **zero** new run-cache lookups (the worker's planner remembers
+   every option it priced).
 
 Usage::
 
@@ -91,13 +94,19 @@ def run_smoke(table_cache_dir: str) -> dict:
     assert code == 0, f"repro warmup exited {code}"
 
     request = PlanRequest.from_dict(SPEC)
-    thread = ServerThread(ServiceConfig(table_cache_dir=table_cache_dir))
+    # One worker, so the repeat solve runs on the planner that priced
+    # the first.
+    thread = ServerThread(
+        ServiceConfig(table_cache_dir=table_cache_dir, workers=1)
+    )
     host, port = thread.start()
     try:
         with ServeClient(host, port) as client:
             before = client.metrics()["executor"]
             served = client.plan(request)
             metrics = client.metrics()
+            repeat = client.plan(request)
+            after_repeat = client.metrics()["executor"]
     finally:
         thread.stop()
 
@@ -133,6 +142,17 @@ def run_smoke(table_cache_dir: str) -> dict:
         f"per distinct candidate ({distinct}), not one per item "
         f"candidate ({request.candidate_count()})"
     )
+    assert repeat == served, (
+        "the repeated request got a different plan:\n"
+        f"  first:  {served.to_dict()}\n  repeat: {repeat.to_dict()}"
+    )
+    repeat_lookups = (after_repeat["hits"] + after_repeat["misses"]) - (
+        executor["hits"] + executor["misses"]
+    )
+    assert repeat_lookups == 0, (
+        f"the repeated request made {repeat_lookups} run-cache lookups; "
+        "every option was priced by the first and should be remembered"
+    )
     return {
         "objective_value": served.objective_value,
         "assignments": [
@@ -146,6 +166,7 @@ def run_smoke(table_cache_dir: str) -> dict:
         "candidates": request.candidate_count(),
         "distinct_candidates": distinct,
         "run_cache_lookups": lookups,
+        "repeat_run_cache_lookups": repeat_lookups,
     }
 
 
