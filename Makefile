@@ -6,7 +6,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 export PYTHONPATH
 
-.PHONY: install test test-fast bench bench-engine bench-serve bench-serve-shard bench-plan serve-shard serve-smoke plan-smoke warmup machine-zoo report examples docs-check check clean
+.PHONY: install test test-fast bench bench-engine bench-plan serve-shard serve-smoke plan-smoke warmup machine-zoo report examples docs-check check clean
 
 install:
 	pip install -e .
@@ -41,26 +41,15 @@ bench:
 bench-engine:
 	pytest benchmarks/bench_perf_engine.py --benchmark-only
 
-# Serving-layer throughput: coalesced vs naive one-request-one-eval
-# (regenerates BENCH_serve.json; see docs/SERVING.md).
-bench-serve:
-	python -m repro bench serve
-
-# Sharded-deployment scaling curve: 1 -> 2 -> 4 process replicas under
-# 1024-client closed-loop overload; merges a `sharded` section into
-# BENCH_serve.json (goodput / p99 / retry curves + identity audit); see
-# docs/SERVING.md, "The sharded benchmark".
-bench-serve-shard:
-	python -m repro bench serve --replicas 4
-
 # Capacity-planner latency vs fleet size (10/100/1000 synthetic mix
 # items; regenerates BENCH_plan.json; see docs/PLANNING.md).
 bench-plan:
 	python -m repro bench plan
 
 # The sharding verification layer: hash-ring properties, router/cache
-# behaviour, fault injection (kill/stall/slow/drain), loadgen error
-# paths.
+# behaviour, fault injection (kill/stall/slow/drain), client and
+# closed-loop error paths.  The gated serving benchmark is
+# servebench/ (servebench/README.md).
 serve-shard:
 	pytest tests/serve/ -q
 

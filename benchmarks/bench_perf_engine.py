@@ -28,7 +28,7 @@ loaded, the scalar memos being lost — still does.
 
 import pathlib
 
-from repro.core.perfbench import measure_engine, write_bench_json
+from repro.core.perfbench import measure_engine, write_engine_bench
 from repro.machine import registry
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -51,7 +51,7 @@ EVENTSIM_SPEEDUP_FLOOR = 2.0
 
 def test_engine_throughput(benchmark, record_text):
     result = benchmark.pedantic(measure_engine, rounds=1, iterations=1)
-    write_bench_json(result, REPO_ROOT / "BENCH_engine.json")
+    write_engine_bench(result, REPO_ROOT / "BENCH_engine.json")
     record_text("engine_throughput", result.describe())
     print(result.describe())
 

@@ -9,7 +9,7 @@ Usage::
     knl-hybridmem advisor minife --size-gb 7.2 --threads 128
     knl-hybridmem describe
     knl-hybridmem serve --port 8713
-    knl-hybridmem bench serve --clients 64
+    knl-hybridmem bench plan
 
 Observability: ``--trace-out`` / ``--metrics-out`` (or ``REPRO_TRACE=1``,
 with optional ``REPRO_TRACE_OUT`` / ``REPRO_METRICS_OUT`` paths) wrap the
@@ -204,15 +204,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench",
         help=(
             "measure throughput: 'engine' (scalar vs batch, "
-            "BENCH_engine.json), 'serve' (coalesced vs naive serving, "
-            "BENCH_serve.json) or 'plan' (planner latency vs fleet size, "
+            "BENCH_engine.json) or 'plan' (planner latency vs fleet size, "
             "BENCH_plan.json)"
         ),
     )
     bench.add_argument(
         "target",
         nargs="?",
-        choices=["engine", "serve", "plan"],
+        choices=["engine", "plan"],
         default="engine",
         help="what to benchmark (default: engine)",
     )
@@ -231,45 +230,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="engine: minimum grid size to evaluate (default: 10080)",
     )
     bench.add_argument(
-        "--clients",
-        type=int,
-        default=None,
-        help="serve: concurrent closed-loop clients (default: 64, or "
-        "1024 for the sharded bench)",
-    )
-    bench.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="serve: benchmark a sharded deployment, scaling the replica "
-        "count up to N and reporting goodput under overload (default: 1 "
-        "= the classic coalesced-vs-naive bench)",
-    )
-    bench.add_argument(
-        "--requests-per-client",
-        type=int,
-        default=8,
-        help="serve: requests each client issues per phase (default: 8)",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="serve: runs per phase, best reported (default: 3)",
-    )
-    bench.add_argument(
-        "--serve-workers",
-        type=int,
-        default=2,
-        help="serve: evaluation worker threads in the server (default: 2)",
-    )
-    bench.add_argument(
         "--out",
         default=None,
         metavar="FILE",
         help=(
             "where to write the measurement JSON (default: "
-            "BENCH_engine.json or BENCH_serve.json by target)"
+            "BENCH_engine.json or BENCH_plan.json by target)"
         ),
     )
     warmup = sub.add_parser(
@@ -787,51 +753,6 @@ def _run_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_serve_sharded(args: argparse.Namespace) -> int:
-    """Benchmark the sharded deployment into the ``sharded`` section of
-    the serve benchmark document (the writer keeps the other sections)."""
-    from repro.serve.loadgen import measure_serve_sharded, write_bench_json
-
-    counts = [1]
-    while counts[-1] * 2 < args.replicas:
-        counts.append(counts[-1] * 2)
-    if counts[-1] != args.replicas:
-        counts.append(args.replicas)
-    clients = args.clients if args.clients is not None else 1024
-    sharded = measure_serve_sharded(
-        replica_counts=tuple(counts),
-        concurrency=clients,
-        requests_per_client=args.requests_per_client,
-        workers=args.serve_workers,
-        machine=getattr(args, "machine", "knl7210"),
-    )
-    path = write_bench_json({"sharded": sharded}, args.out or "BENCH_serve.json")
-    scaling = sharded["scaling"]
-    for n in counts:
-        phase = sharded["overload"][str(n)]
-        print(
-            f"replicas {n:>2}  goodput {phase['goodput_rps']:8.1f} rps  "
-            f"ok {phase['succeeded']}/{phase['offered']}  "
-            f"retries {phase['retries']}  "
-            f"p99 {phase['p99_ms']:.1f} ms  "
-            f"goodput x{scaling['speedup_vs_min'][str(n)]:.2f}  "
-            f"tail x{scaling['tail_p99_speedup_vs_min'][str(n)]:.2f}"
-        )
-    print(
-        f"host cores: {sharded['host_cpu_count']} "
-        "(goodput pins at the shared compute ceiling once replicas "
-        "outnumber cores; the host-independent signal is admission — "
-        "429 retries collapse to zero)"
-    )
-    identity = sharded["identity"]
-    print(
-        f"identity audit: {identity['checked']} responses checked, "
-        f"{identity['mismatches']} mismatches"
-    )
-    print(f"[bench] wrote {path}", file=sys.stderr)
-    return 0
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     command = args.command
     if command == "list":
@@ -899,14 +820,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_plan(args)
     if command == "bench":
         if args.target == "plan":
-            from repro.plan.bench import measure_plan
-            from repro.serve.loadgen import write_bench_json
+            from repro.core.perfbench import write_bench_json
+            from repro.plan.bench import history_row, measure_plan
 
             document = measure_plan(
                 tuple(args.fleet_sizes),
                 table_cache_dir=_table_cache_dir(args),
             )
-            path = write_bench_json(document, args.out or "BENCH_plan.json")
+            path = write_bench_json(
+                document, args.out or "BENCH_plan.json", history_row(document)
+            )
             for size in args.fleet_sizes:
                 row = document["planner"]["details"][str(size)]
                 print(
@@ -919,38 +842,10 @@ def _dispatch(args: argparse.Namespace) -> int:
                 )
             print(f"[bench] wrote {path}", file=sys.stderr)
             return 0
-        if args.target == "serve" and args.replicas > 1:
-            return _bench_serve_sharded(args)
-        if args.target == "serve":
-            from repro.serve.loadgen import measure_serve, write_bench_json
-
-            document = measure_serve(
-                clients=args.clients if args.clients is not None else 64,
-                requests_per_client=args.requests_per_client,
-                workers=args.serve_workers,
-                repeats=args.repeats,
-            )
-            path = write_bench_json(
-                document, args.out or "BENCH_serve.json"
-            )
-            for phase in ("coalesced", "hot_cache", "naive"):
-                stats = document[phase]
-                print(
-                    f"{phase:<10} {stats['throughput_rps']:8.1f} rps  "
-                    f"p50 {stats['p50_ms']:.2f} ms  "
-                    f"p99 {stats['p99_ms']:.2f} ms"
-                )
-            print(
-                "speedup coalesced/naive "
-                f"{document['speedup_coalesced_vs_naive']:.2f}x, "
-                f"hot/naive {document['speedup_hot_vs_naive']:.2f}x"
-            )
-            print(f"[bench] wrote {path}", file=sys.stderr)
-            return 0
-        from repro.core.perfbench import measure_engine, write_bench_json
+        from repro.core.perfbench import measure_engine, write_engine_bench
 
         result = measure_engine(args.points, machine=_machine(args))
-        path = write_bench_json(result, args.out or "BENCH_engine.json")
+        path = write_engine_bench(result, args.out or "BENCH_engine.json")
         print(result.describe())
         print(f"[bench] wrote {path}", file=sys.stderr)
         return 0

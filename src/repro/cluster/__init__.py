@@ -17,7 +17,6 @@ from repro.cluster.multinode import (
     CommunicationProfile,
     MultiNodeModel,
     MultiNodeResult,
-    scaling_efficiency,
 )
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "CommunicationProfile",
     "MultiNodeModel",
     "MultiNodeResult",
-    "scaling_efficiency",
 ]

@@ -103,28 +103,6 @@ COMMUNICATION_MODELS: dict[type, Callable[[Workload, int], CommunicationProfile]
 }
 
 
-def scaling_efficiency(throughput_by_n: "dict[int, float]") -> dict[int, float]:
-    """Parallel efficiency of a throughput scaling curve.
-
-    For each point N, ``efficiency = (T_N / T_base) / (N / base)`` where
-    *base* is the smallest N in the curve — 1.0 is perfect linear
-    scaling, above 1.0 is super-linear.  The same notion as
-    :attr:`MultiNodeResult.parallel_efficiency`, generalized to any
-    replicated-resource curve; the sharded serve benchmark
-    (:mod:`repro.serve.loadgen`) applies it to replica counts.
-    """
-    if not throughput_by_n:
-        return {}
-    base_n = min(throughput_by_n)
-    base = throughput_by_n[base_n]
-    if base <= 0 or base_n <= 0:
-        return {n: 0.0 for n in throughput_by_n}
-    return {
-        n: (value / base) / (n / base_n)
-        for n, value in sorted(throughput_by_n.items())
-    }
-
-
 @dataclass(frozen=True)
 class MultiNodeResult:
     """Composition of one decomposed run."""

@@ -33,10 +33,15 @@ measured against its retained reference implementation in the same file.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import platform
 import tempfile
 import time
 from dataclasses import dataclass
+from typing import Any, Mapping
+
+import numpy as np
 
 from repro.core.configs import ConfigName, SystemConfig, make_config
 from repro.core.runner import ExperimentRunner
@@ -315,10 +320,60 @@ RECALIBRATION_NOTE = {
 }
 
 
+def host_fingerprint() -> dict[str, Any]:
+    """The environment a measurement ran in, stamped on every history
+    row so rows from different hosts are not compared blind."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def write_bench_json(
+    document: Mapping[str, Any],
+    path: "str | pathlib.Path",
+    history_row: Mapping[str, Any],
+    *,
+    defaults: Mapping[str, Any] | None = None,
+) -> pathlib.Path:
+    """Merge one measurement into the ``BENCH_*.json`` file at ``path``.
+
+    The one writer of every BENCH file.  The keys of ``document`` (what
+    this run measured) replace their old values, every other key of the
+    existing file is kept, ``defaults`` fill keys the file does not have
+    yet, and ``history_row`` — stamped with the UTC time ``at`` and the
+    :func:`host_fingerprint` ``host`` — is appended to the ``history``
+    list.  A missing or unreadable file starts fresh; ``document`` is
+    not mutated.
+    """
+    out = pathlib.Path(path)
+    try:
+        previous = json.loads(out.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        previous = {}
+    if not isinstance(previous, dict):
+        previous = {}
+    merged = {**previous, **document}
+    for key, value in (defaults or {}).items():
+        merged.setdefault(key, value)
+    history = merged.pop("history", None)
+    if not isinstance(history, list):
+        history = []
+    row = {
+        "at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **history_row,
+        "host": host_fingerprint(),
+    }
+    merged["history"] = [*history, row]
+    out.write_text(json.dumps(merged, indent=2) + "\n", encoding="utf-8")
+    return out
+
+
 def _history_entry(result: EngineBenchResult) -> dict:
     """Compact trajectory row appended to the ``history`` list."""
     return {
-        "at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "scalar_us_per_point": round(result.scalar_us_per_point, 3),
         "batch_hot_us_per_point": round(result.batch_hot_us_per_point, 4),
         "speedup_cold": round(result.speedup_cold, 2),
@@ -328,35 +383,19 @@ def _history_entry(result: EngineBenchResult) -> dict:
     }
 
 
-def write_bench_json(
+def write_engine_bench(
     result: EngineBenchResult,
     path: "str | pathlib.Path" = "BENCH_engine.json",
 ) -> pathlib.Path:
-    """Serialize one measurement to the perf-trajectory file.
+    """Record one engine measurement through :func:`write_bench_json`.
 
-    The headline numbers are replaced each run, but two keys accumulate
-    across regenerations instead of being overwritten: ``history`` (one
-    compact timestamped row per ``make bench``) and ``recalibration``
-    (the note explaining the 2026-08 scalar-baseline break, carried over
-    from the existing file when present).
+    ``recalibration`` (the note explaining the 2026-08 scalar-baseline
+    break) is carried over from the existing file, or written as
+    :data:`RECALIBRATION_NOTE` into a fresh one.
     """
-    out = pathlib.Path(path)
-    history: list = []
-    recalibration = RECALIBRATION_NOTE
-    if out.exists():
-        try:
-            previous = json.loads(out.read_text())
-        except (OSError, ValueError):
-            previous = {}
-        carried = previous.get("history")
-        if isinstance(carried, list):
-            history = carried
-        noted = previous.get("recalibration")
-        if isinstance(noted, dict):
-            recalibration = noted
-    history.append(_history_entry(result))
-    payload = result.as_dict()
-    payload["recalibration"] = recalibration
-    payload["history"] = history
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    return out
+    return write_bench_json(
+        result.as_dict(),
+        path,
+        _history_entry(result),
+        defaults={"recalibration": RECALIBRATION_NOTE},
+    )

@@ -3,8 +3,9 @@
 Measures how long :class:`~repro.plan.planner.CapacityPlanner` takes to
 solve deterministic synthetic fleets of growing size (default 10, 100
 and 1000 mix items) and records the curve into ``BENCH_plan.json``
-through the same history-carrying writer the serve benchmarks use, so
-re-runs accumulate a trajectory instead of overwriting it.
+through the history-carrying BENCH writer
+(:func:`repro.core.perfbench.write_bench_json`), so re-runs accumulate a
+trajectory instead of overwriting it.
 
 Honesty rules:
 
@@ -35,7 +36,13 @@ from repro.api.facade import Predictor
 from repro.api.plan import PlanRequest, PlanResult, PoolEntry, TrafficItem
 from repro.plan.planner import CapacityPlanner
 
-__all__ = ["DEFAULT_FLEET_SIZES", "REPEATS", "synthetic_request", "measure_plan"]
+__all__ = [
+    "DEFAULT_FLEET_SIZES",
+    "REPEATS",
+    "synthetic_request",
+    "measure_plan",
+    "history_row",
+]
 
 DEFAULT_FLEET_SIZES = (10, 100, 1000)
 
@@ -190,3 +197,9 @@ def measure_plan(
             "candidate_count = items x sum(configs per pool entry)."
         ),
     }
+
+
+def history_row(document: dict[str, Any]) -> dict[str, Any]:
+    """The compact ``history`` row of a :func:`measure_plan` document:
+    its cold median latency per fleet size."""
+    return {"plan_latency_ms": dict(document["planner"]["latency_ms"])}

@@ -11,16 +11,17 @@ The package splits along the request path:
 * :mod:`repro.serve.http` — the zero-dependency asyncio HTTP front end;
 * :mod:`repro.serve.client` — the stdlib client;
 * :mod:`repro.serve.threadserver` — a background-thread server harness;
-* :mod:`repro.serve.loadgen` — the closed-loop benchmark behind
-  ``repro bench serve`` and the CI smoke;
+* :mod:`repro.serve.loadgen` — the closed-loop driver behind the CI
+  smokes (the gated benchmark is ``servebench/`` at the repository
+  root);
 
 and, for the sharded multi-replica deployment:
 
 * :mod:`repro.serve.ring` — the consistent-hash ring over
   content-addressed run keys;
 * :mod:`repro.serve.registry` — replica membership + health tracking;
-* :mod:`repro.serve.shard` — the router, replica backends, deployment
-  harness and routing-aware client;
+* :mod:`repro.serve.shard` — the router, replica backends and
+  deployment harness;
 * :mod:`repro.serve.faults` — deterministic fault injection for the
   test harness.
 
@@ -33,18 +34,11 @@ from repro.serve.client import ServeClient
 from repro.serve.coalescer import Coalescer
 from repro.serve.faults import FaultError, FaultInjector
 from repro.serve.http import DEFAULT_PORT, HttpServer
-from repro.serve.loadgen import (
-    measure_serve,
-    measure_serve_sharded,
-    run_smoke,
-    write_bench_json,
-)
 from repro.serve.registry import ReplicaInfo, ReplicaSet, ReplicaState
 from repro.serve.ring import DEFAULT_VNODES, HashRing, stable_point
 from repro.serve.service import PredictionService, ServiceConfig
 from repro.serve.shard import (
     ProcessReplica,
-    ShardClient,
     ShardConfig,
     ShardDeployment,
     ShardRouter,
@@ -61,10 +55,6 @@ __all__ = [
     "DEFAULT_PORT",
     "ServeClient",
     "ServerThread",
-    "measure_serve",
-    "measure_serve_sharded",
-    "run_smoke",
-    "write_bench_json",
     "HashRing",
     "DEFAULT_VNODES",
     "stable_point",
@@ -75,7 +65,6 @@ __all__ = [
     "FaultInjector",
     "ShardConfig",
     "ShardRouter",
-    "ShardClient",
     "ShardDeployment",
     "ThreadReplica",
     "ProcessReplica",

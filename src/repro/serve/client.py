@@ -11,8 +11,8 @@ The transport is a deliberately small HTTP/1.1 implementation over a
 raw keep-alive socket rather than :mod:`http.client` — the service
 always answers with a ``Content-Length`` JSON body, so the general
 parser (and its per-response header-object construction) would roughly
-double the client-side cost per call, which matters for the closed-loop
-benchmark driving thousands of requests.  A dropped keep-alive socket
+double the client-side cost per call, which matters for closed-loop
+drivers sending thousands of requests.  A dropped keep-alive socket
 is retried transparently once.  One client drives one connection — use
 one client per thread.
 """

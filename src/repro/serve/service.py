@@ -46,9 +46,7 @@ class ServiceConfig:
     """Capacity and behaviour knobs of one service instance.
 
     The defaults suit an interactive what-if service; ``docs/SERVING.md``
-    discusses how to tune them.  ``max_batch=1`` with ``cache_entries=0``
-    is the one-request-one-eval baseline the serve benchmark measures
-    against, through the same coalescer.
+    discusses how to tune them.
     """
 
     machine: str = "knl7210"

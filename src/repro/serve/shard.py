@@ -12,20 +12,16 @@ share one persistent ModelTables directory
 (:mod:`repro.engine.table_cache`) so the first replica to build a
 machine's tables warms every other replica's cold start.
 
-Data planes — two, both deriving the same ring:
+The data plane is :class:`ShardRouter`, a single HTTP entry point
+speaking the exact ``repro.serve`` wire protocol.  It is the service's
+request pipeline (:class:`~repro.serve.pipeline.RequestPipeline`:
+parsing, deadlines, admission, a router-level result cache above the
+per-replica caches, envelopes) with a forwarding back half: each
+request's misses are split into per-owner groups and forwarded
+concurrently on a thread pool, a plan goes whole to the owner of its
+canonical key.
 
-* :class:`ShardRouter` — a single HTTP entry point speaking the exact
-  ``repro.serve`` wire protocol.  It is the service's request pipeline
-  (:class:`~repro.serve.pipeline.RequestPipeline`: parsing, deadlines,
-  admission, a router-level result cache above the per-replica caches,
-  envelopes) with a forwarding back half: each request's misses are
-  split into per-owner groups and forwarded concurrently on a thread
-  pool, a plan goes whole to the owner of its canonical key.
-* :class:`ShardClient` — client-side routing for benchmark-scale
-  concurrency: each client thread hashes its own keys and talks to the
-  owning replica directly, so the router is not a serialization point.
-
-Both planes fail over through one loop, :func:`failover`, along the
+The router fails over through one loop, :func:`failover`, along the
 ring's preference order.  Its semantics (proved by
 ``tests/serve/test_faults.py``):
 
@@ -90,7 +86,6 @@ from repro.serve.threadserver import ServerThread
 __all__ = [
     "ShardConfig",
     "ShardRouter",
-    "ShardClient",
     "ShardDeployment",
     "ThreadReplica",
     "ProcessReplica",
@@ -182,7 +177,7 @@ class ReplicaConnections:
 
     Generation-keyed, so a restarted replica never inherits a socket to
     its dead twin.  Not thread-safe: the router keeps one per pool
-    thread, a :class:`ShardClient` owns one.
+    thread.
     """
 
     def __init__(self, replicas: ReplicaSet, timeout: float) -> None:
@@ -224,8 +219,7 @@ def failover(
     metrics: MetricsRegistry | None = None,
 ) -> T:
     """``call(client, argument, deadline_s=...)`` on the first replica of
-    ``preferences`` that answers — the one failover loop of both data
-    planes.
+    ``preferences`` that answers — the router's one failover loop.
 
     Request-side errors (:data:`_FATAL_ERRORS`) are re-raised at once; a
     :class:`~repro.api.errors.CapacityError` spills to the next replica
@@ -826,99 +820,3 @@ class ShardDeployment:
                 pass
         self._boot_replica(replica_id)
         return self.replicas.address(replica_id)
-
-    # -- client-side routing -------------------------------------------------------
-    def shard_client(
-        self,
-        *,
-        keyer: "Callable[[Query], str] | None" = None,
-        timeout: float = 60.0,
-        max_attempts: int | None = None,
-    ) -> "ShardClient":
-        """A routing-aware client over this deployment's live replica
-        set (one per thread — clients hold sockets)."""
-        return ShardClient(
-            self.replicas,
-            keyer=keyer,
-            timeout=timeout,
-            max_attempts=(
-                self.config.max_attempts
-                if max_attempts is None
-                else max_attempts
-            ),
-        )
-
-
-class ShardClient:
-    """Client-side consistent-hash routing (no router hop).
-
-    Benchmark-scale concurrency routes here: each client thread hashes
-    its own keys against the shared :class:`~repro.serve.registry.ReplicaSet`
-    and talks straight to the owning replica, failing over along the
-    same ring preference order the router derives.  Not thread-safe —
-    one instance per thread (it owns one socket per replica).
-
-    ``keyer`` maps a query to its content-addressed run key; pass
-    ``key=`` per call instead when keys are precomputed (the loadgen
-    pool already carries them — building one keying predictor per
-    client thread would dwarf the serving cost being measured).
-    """
-
-    def __init__(
-        self,
-        replicas: ReplicaSet,
-        *,
-        keyer: "Callable[[Query], str] | None" = None,
-        timeout: float = 60.0,
-        max_attempts: int = 3,
-    ) -> None:
-        if max_attempts < 1:
-            raise ValidationError(
-                f"max_attempts must be >= 1, got {max_attempts}"
-            )
-        self.replicas = replicas
-        self.max_attempts = max_attempts
-        self._keyer = keyer
-        self._connections = ReplicaConnections(replicas, timeout)
-
-    def close(self) -> None:
-        self._connections.close()
-
-    def __enter__(self) -> "ShardClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- prediction --------------------------------------------------------------
-    def key_for(self, query: Query) -> str:
-        if self._keyer is None:
-            raise ValidationError(
-                "no keyer configured; pass key= per call or construct the "
-                "client with keyer="
-            )
-        return self._keyer(query)
-
-    def predict(
-        self,
-        query: Query,
-        *,
-        key: str | None = None,
-        deadline_s: float | None = None,
-    ) -> PredictionResult:
-        """Answer one query on its owning replica, failing over along
-        the ring preference order (``deadline_s`` bounds all attempts
-        together)."""
-        run_key = key if key is not None else self.key_for(query)
-        preferences = self.replicas.preferences(run_key, self.max_attempts)
-        if not preferences:
-            raise CapacityError("no routable replicas (all down or draining)")
-        return failover(
-            self._connections,
-            preferences,
-            ServeClient.predict,
-            query,
-            deadline_at=(
-                None if deadline_s is None else time.monotonic() + deadline_s
-            ),
-        )

@@ -7,9 +7,9 @@ import json
 import pytest
 
 from repro.api.facade import Predictor
-from repro.plan.bench import REPEATS, measure_plan, synthetic_request
+from repro.core.perfbench import write_bench_json
+from repro.plan.bench import REPEATS, history_row, measure_plan, synthetic_request
 from repro.plan.planner import CapacityPlanner
-from repro.serve.loadgen import write_bench_json
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +59,8 @@ def test_cold_solves_price_afresh_and_warm_ones_do_not(resolves):
 def test_history_keeps_the_cold_medians(resolves, tmp_path):
     _, _, document = resolves
     path = str(tmp_path / "BENCH_plan.json")
-    write_bench_json(document, path)
-    write_bench_json(document, path)
+    write_bench_json(document, path, history_row(document))
+    write_bench_json(document, path, history_row(document))
     with open(path, encoding="utf-8") as handle:
         written = json.load(handle)
     assert [row["plan_latency_ms"] for row in written["history"]] == [

@@ -1,10 +1,12 @@
-"""Load-generator error paths: the closed loop against broken servers.
+"""Client error paths: the wire client and the closed loop against
+broken servers.
 
-The loadgen's contract is that a phase always terminates with every
-request accounted as succeeded or failed — against servers that refuse
-connections, drop mid-body, or answer nothing but 429.  Each scenario
-here runs a real socket server (or none at all) so the client-side
-classification, retry, and give-up logic is exercised on the wire.
+``ServeClient`` must surface every broken server — one that refuses
+connections, drops mid-body, sends unparseable framing, or answers
+nothing but 429 — as a typed error, and the closed-loop driver's phase
+must always terminate with every request counted as answered or
+failed.  Each scenario here runs a real socket server (or none at all)
+so the classification is exercised on the wire.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.api.errors import ApiError, CapacityError
 from repro.api.types import SCHEMA_VERSION, Query
 from repro.serve.client import ServeClient
-from repro.serve.loadgen import build_keyed_pool, run_shard_phase
-from repro.serve.registry import ReplicaSet
+from repro.serve.loadgen import build_query_pool, run_phase
 
 pytestmark = pytest.mark.tier1
 
@@ -178,81 +180,30 @@ def test_backpressure_envelope_rehydrates_as_capacity_error():
                 client.predict(_query())
 
 
-def _replica_set_at(host: str, port: int) -> ReplicaSet:
-    replicas = ReplicaSet(fail_after=2)
-    replicas.register("r0", host, port)
-    return replicas
-
-
-def test_shard_phase_terminates_against_dead_replicas():
-    """Every request is accounted failed — promptly, no hang — when the
-    whole fleet is unreachable."""
+def test_run_phase_terminates_against_a_dead_port():
+    """Every request is counted as an error — promptly, no hang — when
+    nothing listens at the address."""
     port = _free_port()
-    pool = build_keyed_pool(6)
-    phase, responses = run_shard_phase(
-        "dead-fleet",
-        _replica_set_at("127.0.0.1", port),
-        [pool[:3], pool[3:]],
-        request_deadline_s=1.0,
-        backoff_base_s=0.01,
-        backoff_cap_s=0.05,
-        timeout_s=5.0,
+    pool = build_query_pool(6)
+    started = time.monotonic()
+    phase, responses = run_phase(
+        "dead-port", "127.0.0.1", port, [pool[:3], pool[3:]], deadline_s=1.0
     )
+    assert time.monotonic() - started < 10.0
     assert responses == []
-    assert phase.offered == 6
-    assert phase.succeeded == 0
-    assert phase.failed == 6
-    assert phase.goodput_rps == 0.0
-
-
-def test_shard_phase_retries_429s_then_gives_up():
-    """Pure backpressure: the closed loop must retry with backoff (the
-    retries counter proves it) and still terminate at the request
-    deadline with everything accounted."""
-    envelope = json.dumps(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "error": {"code": "capacity", "message": "always full"},
-        }
-    ).encode("utf-8")
-
-    def handler(conn: socket.socket) -> None:
-        while _read_request(conn).strip():
-            _respond(conn, "429 Too Many Requests", envelope)
-
-    pool = build_keyed_pool(4)
-    with _FakeServer(handler) as server:
-        phase, responses = run_shard_phase(
-            "all-429",
-            _replica_set_at(server.host, server.port),
-            [pool[:2], pool[2:]],
-            request_deadline_s=0.8,
-            backoff_base_s=0.01,
-            backoff_cap_s=0.05,
-            timeout_s=5.0,
-        )
-    assert responses == []
-    assert phase.failed == 4
-    assert phase.retries > 0
+    assert phase.requests == 6
+    assert phase.errors == 6
     assert phase.success_rate == 0.0
 
 
-def test_shard_phase_survives_mid_body_disconnects():
-    def handler(conn: socket.socket) -> None:
-        _read_request(conn)
-        conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 512\r\n\r\n{")
+def test_run_phase_raises_a_driver_bug_instead_of_counting_it(monkeypatch):
+    """Only wire failures and typed API errors count as failed requests;
+    any other exception in a client thread surfaces to the caller."""
 
-    pool = build_keyed_pool(4)
-    with _FakeServer(handler) as server:
-        phase, responses = run_shard_phase(
-            "mid-body",
-            _replica_set_at(server.host, server.port),
-            [pool[:2], pool[2:]],
-            request_deadline_s=1.0,
-            backoff_base_s=0.01,
-            timeout_s=5.0,
-        )
-    assert responses == []
-    assert phase.offered == 4
-    assert phase.succeeded == 0
-    assert phase.failed == 4
+    def broken(self, query, **kwargs):
+        raise RuntimeError("driver bug")
+
+    monkeypatch.setattr(ServeClient, "predict", broken)
+    pool = build_query_pool(4)
+    with pytest.raises(RuntimeError, match="driver bug"):
+        run_phase("bug", "127.0.0.1", _free_port(), [pool[:2], pool[2:]])

@@ -1,8 +1,8 @@
 """The sharded deployment: routing, cache tiers, health, aggregation.
 
 Thread-backend deployments throughout (fast to boot, faultable); the
-process backend is exercised by the CLI integration test and the
-benchmark.  The oracle for every answer is a direct
+process backend is exercised by the CLI integration test and
+``tools/serve_shard_smoke.py``.  The oracle for every answer is a direct
 :meth:`repro.api.Predictor.predict` — served results must be
 bit-identical to it no matter which replica answered.
 """
@@ -180,21 +180,24 @@ def test_restart_bumps_generation_and_keeps_answers_identical(oracle):
         backend="thread",
         service=ServiceConfig(workers=1, cache_ttl_s=None),
         probe_interval_s=0.0,
+        router_cache_entries=0,  # every answer below crosses the router hop
     )
     deployment = ShardDeployment(config)
-    with deployment:
+    with deployment as (host, port):
         queries = _queries()
-        with deployment.shard_client(
-            keyer=oracle.cache_key, timeout=30.0
-        ) as client:
+        forwards = "router.forwards{replica=r0}"
+        with ServeClient(host, port, timeout=30.0) as client:
             assert client.predict(queries[0]) == oracle.predict(queries[0])
             assert deployment.replicas.generation("r0") == 0
             deployment.restart_replica("r0")
             assert deployment.replicas.generation("r0") == 1
-            # The same client keeps working: its pooled connection to the
-            # dead twin is keyed on (replica, generation) and re-dials.
+            before = client.metrics()["service"]["counters"].get(forwards, 0.0)
+            # The router keeps answering: its pooled connections to the
+            # dead twin are keyed on (replica, generation) and re-dial.
             for query in queries:
                 assert client.predict(query) == oracle.predict(query)
+            after = client.metrics()["service"]["counters"][forwards]
+    assert after > before
 
 
 def test_no_routable_replicas_is_a_typed_capacity_error():
@@ -225,7 +228,7 @@ def test_no_routable_replicas_is_a_typed_capacity_error():
     assert health["routable"] == []
 
 
-def test_shard_client_routes_and_fails_over(oracle):
+def test_router_routes_and_fails_over(oracle):
     config = ShardConfig(
         replicas=3,
         backend="thread",
@@ -234,16 +237,14 @@ def test_shard_client_routes_and_fails_over(oracle):
         fail_after=1,
     )
     deployment = ShardDeployment(config)
-    with deployment:
+    with deployment as (host, port):
         queries = _queries()
         ring = deployment.replicas.ring()
         by_owner: dict[str, Query] = {}
         for query in queries:
             by_owner.setdefault(ring.assign(oracle.cache_key(query)), query)
         victim, query = next(iter(by_owner.items()))
-        with deployment.shard_client(
-            keyer=oracle.cache_key, timeout=30.0
-        ) as client:
+        with ServeClient(host, port, timeout=30.0) as client:
             deployment.kill_replica(victim)
             # Failover to the ring successor, bit-identical, and the dead
             # replica is discovered passively.

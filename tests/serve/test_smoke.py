@@ -1,4 +1,4 @@
-"""The load generator and the CI smoke harness, at test-sized scale."""
+"""The closed-loop driver and the CI smoke harness, at test-sized scale."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.api import Predictor
 from repro.serve.loadgen import (
     _partition,
     build_query_pool,
-    measure_serve,
     run_smoke,
 )
 
@@ -46,16 +45,3 @@ def test_run_smoke_passes_at_small_scale():
     assert report["identity"]["bit_identical"]
     assert report["violations"] == 0
     assert report["invariant_audited"] >= 1
-
-
-@pytest.mark.slow
-def test_measure_serve_reports_all_phases_at_small_scale():
-    document = measure_serve(
-        clients=4, requests_per_client=2, workers=2, repeats=1,
-        identity_sample=4,
-    )
-    for phase in ("coalesced", "hot_cache", "naive"):
-        assert document[phase]["errors"] == 0
-        assert document[phase]["throughput_rps"] > 0
-    assert document["identity"]["bit_identical"]
-    assert document["coalescing"]["batched_queries"] >= 8

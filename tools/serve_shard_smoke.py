@@ -3,13 +3,15 @@
 
 Boots a 3-replica process-backend deployment (the production shape:
 real subprocesses, real TCP, one shared persistent table-cache
-directory), drives it with a reduced closed-loop loadgen, kills one
-replica mid-run, and fails (non-zero exit) unless:
+directory), drives its router with the closed-loop driver
+(`repro.serve.loadgen.run_phase`) — the same data plane
+`repro serve --replicas N` runs — kills one replica mid-run, and fails
+(non-zero exit) unless:
 
 * every surviving request completes or surfaces a typed error — no
   hangs, no malformed envelopes;
-* at least 90% of offered requests succeed despite the kill (failover
-  along the ring absorbs the lost replica's share);
+* at least 90% of offered requests succeed despite the kill (the
+  router's failover along the ring absorbs the lost replica's share);
 * a sample of responses is bit-identical to direct scalar evaluation;
 * `/healthz` reports the victim down and the survivors routable.
 
@@ -25,8 +27,8 @@ Usage::
         [--requests-per-client N] [--replicas N] [--no-prewarm]
 
 The defaults (3 replicas, 32 clients x 4 requests) match the CI
-serve-shard job — a correctness smoke, not a benchmark
-(BENCH_serve.json's `sharded` section does that).
+serve-shard job — a correctness smoke, not a benchmark (the gated
+`point-miss-routed` workload of `servebench/` measures the router).
 """
 
 from __future__ import annotations
@@ -52,22 +54,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.api import Predictor
     from repro.serve.client import ServeClient
     from repro.serve.loadgen import (
-        _verify_identity,
-        build_keyed_pool,
-        run_shard_phase,
+        _partition,
+        build_query_pool,
+        run_phase,
+        verify_identity,
     )
     from repro.serve.service import ServiceConfig
     from repro.serve.shard import ShardConfig, ShardDeployment
 
     total = args.clients * args.requests_per_client
-    oracle = Predictor()
-    pool = build_keyed_pool(total, predictor=oracle)
-    partitions: list[list[tuple]] = [[] for _ in range(args.clients)]
-    for i, pair in enumerate(pool):
-        partitions[i % args.clients].append(pair)
+    partitions = _partition(build_query_pool(total), args.clients)
 
     failures: list[str] = []
     with tempfile.TemporaryDirectory(prefix="repro-shard-smoke-") as tables:
@@ -100,20 +98,17 @@ def main(argv: list[str] | None = None) -> int:
 
             killer = threading.Thread(target=assassin, name="assassin")
             killer.start()
-            phase, responses = run_shard_phase(
-                "smoke",
-                deployment.replicas,
-                partitions,
-                request_deadline_s=60.0,
-                timeout_s=30.0,
+            phase, responses = run_phase(
+                "smoke", host, port, partitions, deadline_s=60.0
             )
             killer.join()
 
             if phase.success_rate < args.min_success_rate:
                 failures.append(
                     f"success rate {phase.success_rate:.3f} < "
-                    f"{args.min_success_rate} ({phase.succeeded}/"
-                    f"{phase.offered} ok, {phase.failed} failed)"
+                    f"{args.min_success_rate} "
+                    f"({phase.requests - phase.errors}/{phase.requests} ok, "
+                    f"{phase.errors} failed)"
                 )
             # The probe loop discovers the death asynchronously; give it
             # a bounded window before calling the health view wrong.
@@ -139,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
             if down:
                 failures.append(f"surviving replicas not up: {down}")
 
-            identity = _verify_identity(responses, args.check_sample)
+            identity = verify_identity(responses, args.check_sample)
             if not identity["checked"]:
                 failures.append("identity audit sampled zero responses")
             if not identity["bit_identical"]:

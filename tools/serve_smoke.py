@@ -13,7 +13,7 @@ Usage::
 
 The defaults (50 clients x 4 requests = 200 concurrent queries) match
 the CI serve-smoke job; the p99 bound is deliberately generous — it
-exists to catch hangs and collapse, not to benchmark (BENCH_serve.json
+exists to catch hangs and collapse, not to benchmark (`servebench/`
 does that).
 """
 
