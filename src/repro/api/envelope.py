@@ -10,16 +10,23 @@ schema bump cannot leave a stale stamp behind.
 * :func:`success_envelope` — ``{"schema_version": ..., **fields}``;
 * :func:`error_envelope` — ``{"schema_version": ..., "error": {...}}``
   from a typed :class:`~repro.api.errors.ApiError` or a bare
-  ``(code, message)`` pair.
+  ``(code, message)`` pair;
+* :func:`plan_envelope_bytes` — the ``/v1/plan`` success body, already
+  encoded.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import json
+from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.api.errors import ApiError
 
-__all__ = ["success_envelope", "error_envelope"]
+if TYPE_CHECKING:
+    from repro.api.plan import PlanResult
+
+__all__ = ["success_envelope", "error_envelope", "plan_envelope_bytes"]
 
 
 def success_envelope(**fields: Any) -> dict[str, Any]:
@@ -54,3 +61,85 @@ def error_envelope(
             raise ValueError("a bare error code needs a message")
         info = {"code": error, "message": message}
     return {"schema_version": SCHEMA_VERSION, "error": info}
+
+
+#: What ``json.dumps`` writes for the floats ``float.__repr__`` spells
+#: ``inf``, ``-inf`` and ``nan``.
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _scalar(value: Any) -> str:
+    """One JSON scalar exactly as ``json.dumps`` writes it.
+
+    Floats, strings and integers take the calls the stdlib C encoder
+    makes: ``float.__repr__`` (plain ``repr`` spells a numpy float64
+    ``np.float64(...)``), ``encode_basestring_ascii`` and
+    ``int.__repr__``.
+    """
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int) and value is not True and value is not False:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+def plan_envelope_bytes(result: "PlanResult", meta: Mapping[str, Any]) -> bytes:
+    """The ``/v1/plan`` success body: byte-identical to
+    ``json.dumps(success_envelope(plan=result.to_dict(), meta=meta),
+    sort_keys=True).encode()``, without building those dictionaries.
+
+    A plan repeats few distinct options over many items, so each
+    assignment's fields other than ``weight`` and ``load_nodes`` are
+    encoded once per distinct value in this call and reused.  A memo key
+    carries each number's type, and a zero by its ``repr``, so ``1`` and
+    ``1.0``, or ``0.0`` and ``-0.0``, never share a fragment.
+    """
+    from repro.api.types import SCHEMA_VERSION
+
+    fragments: dict[tuple[Any, ...], tuple[str, str, str]] = {}
+    assignments = []
+    for a in result.assignments:
+        item = a.item
+        key = (
+            a.config, a.machine, a.metric_name, a.metric_unit, item.workload,
+            item.num_threads, item.num_threads.__class__,
+            item.size_gb or repr(item.size_gb), item.size_gb.__class__,
+            a.energy_j or repr(a.energy_j), a.energy_j.__class__,
+            a.metric or repr(a.metric), a.metric.__class__,
+            a.time_ns or repr(a.time_ns), a.time_ns.__class__,
+        )
+        parts = fragments.get(key)
+        if parts is None:
+            # The keys of PlanAssignment.to_dict and TrafficItem.to_dict,
+            # sorted.
+            parts = fragments[key] = (
+                '{"config": ' + _scalar(a.config)
+                + ', "energy_j": ' + _scalar(a.energy_j)
+                + ', "item": {"num_threads": ' + _scalar(item.num_threads)
+                + ', "size_gb": ' + _scalar(item.size_gb)
+                + ', "weight": ',
+                ', "workload": ' + _scalar(item.workload)
+                + '}, "load_nodes": ',
+                ', "machine": ' + _scalar(a.machine)
+                + ', "metric": ' + _scalar(a.metric)
+                + ', "metric_name": ' + _scalar(a.metric_name)
+                + ', "metric_unit": ' + _scalar(a.metric_unit)
+                + ', "time_ns": ' + _scalar(a.time_ns) + "}",
+            )
+        head, middle, tail = parts
+        assignments.append(
+            head + _scalar(item.weight) + middle + _scalar(a.load_nodes) + tail
+        )
+    loads = [load.to_dict() for load in result.loads]
+    return (
+        '{"meta": ' + json.dumps(meta, sort_keys=True)
+        + ', "plan": {"assignments": [' + ", ".join(assignments)
+        + '], "loads": ' + json.dumps(loads, sort_keys=True)
+        + ', "objective": ' + _scalar(result.objective)
+        + ', "objective_value": ' + _scalar(result.objective_value)
+        + ', "schema_version": ' + _scalar(result.schema_version)
+        + '}, "schema_version": ' + _scalar(SCHEMA_VERSION) + "}"
+    ).encode("utf-8")

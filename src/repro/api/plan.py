@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.api.errors import (
     EmptyMixError,
@@ -130,13 +130,9 @@ class TrafficItem:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "workload", _check_str("workload", self.workload).lower()
-        )
-        object.__setattr__(self, "size_gb", _check_size("size_gb", self.size_gb))
-        object.__setattr__(
-            self, "num_threads", _check_threads("num_threads", self.num_threads)
-        )
+        spec = _canonical_spec(self.workload, self.size_gb, self.num_threads)
+        for name, value in zip(("workload", "size_gb", "num_threads"), spec):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "weight", _check_size("weight", self.weight))
 
     def to_dict(self) -> dict[str, Any]:
@@ -148,18 +144,91 @@ class TrafficItem:
         }
 
     @classmethod
+    def _trusted(
+        cls, workload: str, size_gb: float, num_threads: int, weight: float
+    ) -> "TrafficItem":
+        """Build from fields that are already canonical, skipping
+        ``__post_init__``: :meth:`PlanRequest.from_dict` validates each
+        distinct spec once and every weight itself."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["workload"] = workload
+        fields["size_gb"] = size_gb
+        fields["num_threads"] = num_threads
+        fields["weight"] = weight
+        return self
+
+    @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TrafficItem":
-        _require_keys(
-            data,
-            required=("workload", "size_gb"),
-            optional=("num_threads", "weight"),
-        )
+        _require_keys(data, required=_ITEM_REQUIRED, optional=_ITEM_OPTIONAL)
         return cls(
             workload=data["workload"],
             size_gb=data["size_gb"],
             num_threads=data.get("num_threads", 64),
             weight=data.get("weight", 1.0),
         )
+
+
+_ITEM_REQUIRED = ("workload", "size_gb")
+_ITEM_OPTIONAL = ("num_threads", "weight")
+_ITEM_KEYS = frozenset(_ITEM_REQUIRED + _ITEM_OPTIONAL)
+
+
+def _canonical_spec(
+    workload: Any, size_gb: Any, num_threads: Any
+) -> tuple[str, float, int]:
+    """A traffic item's canonical ``(workload, size_gb, num_threads)``,
+    validated in that order (the first invalid field raises)."""
+    return (
+        _check_str("workload", workload).lower(),
+        _check_size("size_gb", size_gb),
+        _check_threads("num_threads", num_threads),
+    )
+
+
+def _parse_mix(mix: Sequence[Any]) -> tuple[TrafficItem, ...]:
+    """The wire mix's items: equal to ``TrafficItem.from_dict`` of each,
+    and raising the same errors.
+
+    Each distinct raw ``(workload, size_gb, num_threads)`` is
+    canonicalized once per call; every item's key set and weight are
+    still checked.  The memo keys each raw value with its type, so
+    ``True``, ``1`` and ``1.0`` never share an entry.
+    """
+    specs: dict[tuple[Any, ...], tuple[str, float, int]] = {}
+    items = []
+    for data in mix:
+        # A well-formed item costs one set test; anything else gets
+        # _require_keys' typed error (or passes it, as a non-dict mapping).
+        if not (
+            data.__class__ is dict
+            and "workload" in data
+            and "size_gb" in data
+            and _ITEM_KEYS.issuperset(data)
+        ):
+            _require_keys(
+                data, required=_ITEM_REQUIRED, optional=_ITEM_OPTIONAL
+            )
+        workload = data["workload"]
+        size_gb = data["size_gb"]
+        num_threads = data.get("num_threads", 64)
+        raw = (
+            workload, workload.__class__,
+            size_gb, size_gb.__class__,
+            num_threads, num_threads.__class__,
+        )
+        try:
+            spec = specs.get(raw)
+        except TypeError:  # an unhashable value, which is never valid
+            spec = None
+        if spec is None:
+            spec = specs[raw] = _canonical_spec(workload, size_gb, num_threads)
+        items.append(
+            TrafficItem._trusted(
+                *spec, _check_size("weight", data.get("weight", 1.0))
+            )
+        )
+    return tuple(items)
 
 
 @dataclass(frozen=True)
@@ -287,7 +356,7 @@ class PlanRequest:
         ):
             raise ValidationError(f"pool must be a list, got {pool!r}")
         return cls(
-            mix=tuple(TrafficItem.from_dict(i) for i in mix),
+            mix=_parse_mix(mix),
             pool=tuple(PoolEntry.from_dict(e) for e in pool),
             objective=data.get("objective", "runtime"),
         )

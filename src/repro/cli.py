@@ -837,6 +837,8 @@ def _dispatch(args: argparse.Namespace) -> int:
                     f"(IQR {row['iqr_ms']:.1f})  "
                     f"warm {row['warm_latency_ms']:7.1f} ms "
                     f"(IQR {row['warm_iqr_ms']:.1f})  "
+                    f"parse {row['parse_ms']:5.2f} ms  "
+                    f"encode {row['encode_ms']:5.2f} ms  "
                     f"candidates {row['candidates']:>5}  "
                     f"nodes/machine {row['nodes_per_machine']}"
                 )

@@ -16,6 +16,11 @@ Honesty rules:
   single solve is noise;
 * a **warm** row times :data:`REPEATS` repeat solves on the last cold
   planner, which shows what the memo saves a long-lived server;
+* the served path's two other stages are timed :data:`REPEATS` times
+  each, warm, around the solve: ``parse`` is
+  :meth:`~repro.api.plan.PlanRequest.from_dict` of the request's wire
+  form, ``encode`` is
+  :func:`~repro.api.envelope.plan_envelope_bytes` of its plan;
 * the synthetic mix is a pure function of the item index (no
   randomness), so the measured problem is identical across runs and
   machines;
@@ -29,8 +34,9 @@ from __future__ import annotations
 
 import statistics
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
+from repro.api.envelope import plan_envelope_bytes
 from repro.api.errors import InfeasiblePlanError
 from repro.api.facade import Predictor
 from repro.api.plan import PlanRequest, PlanResult, PoolEntry, TrafficItem
@@ -117,9 +123,9 @@ def _fitting_request(
     )
 
 
-def _timed_ms(planner: CapacityPlanner, request: PlanRequest) -> float:
+def _timed_ms(call: Callable[[], object]) -> float:
     started = time.perf_counter()
-    planner.plan(request)
+    call()
     return (time.perf_counter() - started) * 1e3
 
 
@@ -134,15 +140,33 @@ def _measure_fleet(fleet_size: int, table_cache_dir: Any) -> dict[str, Any]:
     cold = []
     for _ in range(REPEATS):
         planner = CapacityPlanner(Predictor(table_cache_dir=table_cache_dir))
-        cold.append(_timed_ms(planner, request))
-    warm = [_timed_ms(planner, request) for _ in range(REPEATS)]
+        cold.append(_timed_ms(lambda: planner.plan(request)))
+    warm = [_timed_ms(lambda: planner.plan(request)) for _ in range(REPEATS)]
+    wire = request.to_dict()
+    meta = {
+        "items": len(request.mix),
+        "pool": len(request.pool),
+        "candidates": request.candidate_count(),
+        "elapsed_ms": warm[-1],
+    }
+    parse = [_timed_ms(lambda: PlanRequest.from_dict(wire)) for _ in range(REPEATS)]
+    encode = [
+        _timed_ms(lambda: plan_envelope_bytes(result, meta))
+        for _ in range(REPEATS)
+    ]
     cold_median, cold_iqr = _median_iqr(cold)
     warm_median, warm_iqr = _median_iqr(warm)
+    parse_median, parse_iqr = _median_iqr(parse)
+    encode_median, encode_iqr = _median_iqr(encode)
     return {
         "latency_ms": cold_median,
         "iqr_ms": cold_iqr,
         "warm_latency_ms": warm_median,
         "warm_iqr_ms": warm_iqr,
+        "parse_ms": parse_median,
+        "parse_iqr_ms": parse_iqr,
+        "encode_ms": encode_median,
+        "encode_iqr_ms": encode_iqr,
         "cold_ms": cold,
         "warm_ms": warm,
         "nodes_per_machine": request.pool[0].nodes,
@@ -179,6 +203,10 @@ def measure_plan(
             "iqr_ms": column("iqr_ms"),
             "warm_latency_ms": column("warm_latency_ms"),
             "warm_iqr_ms": column("warm_iqr_ms"),
+            "parse_ms": column("parse_ms"),
+            "parse_iqr_ms": column("parse_iqr_ms"),
+            "encode_ms": column("encode_ms"),
+            "encode_iqr_ms": column("encode_iqr_ms"),
             "details": details,
         },
         "note": (
@@ -194,7 +222,11 @@ def measure_plan(
             "the synthetic mix cycles through distinct_specs = 8 specs, so "
             "every fleet size evaluates the same model cells; what grows "
             "with the fleet is per-item work, far below linear in "
-            "candidate_count = items x sum(configs per pool entry)."
+            "candidate_count = items x sum(configs per pool entry).  "
+            "parse_ms and encode_ms (with their IQRs) are the served "
+            "path's other stages, each the median of `repeats` warm "
+            "calls: PlanRequest.from_dict of the request's wire form, and "
+            "plan_envelope_bytes of its plan (the /v1/plan response body)."
         ),
     }
 

@@ -186,7 +186,7 @@ class HttpServer:
     # -- routing ----------------------------------------------------------------
     async def _route(
         self, method: str, path: str, body: bytes
-    ) -> tuple[int, dict[str, Any]]:
+    ) -> tuple[int, dict[str, Any] | bytes]:
         started = time.perf_counter()
         endpoint = path.split("?", 1)[0]
         try:
@@ -209,7 +209,7 @@ class HttpServer:
 
     async def _dispatch(
         self, method: str, endpoint: str, body: bytes
-    ) -> tuple[int, dict[str, Any]]:
+    ) -> tuple[int, dict[str, Any] | bytes]:
         if endpoint == "/healthz":
             if method != "GET":
                 return 405, error_envelope("validation", "use GET /healthz")
@@ -248,11 +248,16 @@ class HttpServer:
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: dict[str, Any],
+        payload: dict[str, Any] | bytes,
         *,
         keep_alive: bool,
     ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        """Write one response; ``payload`` is a JSON document, or a body
+        its handler already encoded (a ``/v1/plan`` answer)."""
+        if isinstance(payload, bytes):
+            body = payload
+        else:
+            body = json.dumps(payload, sort_keys=True).encode("utf-8")
         reason = _REASONS.get(status, "Unknown")
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"

@@ -35,6 +35,7 @@ from repro.serve.threadserver import ServerThread
 
 __all__ = [
     "LoadPhase",
+    "SmokeFailure",
     "build_query_pool",
     "run_phase",
     "run_smoke",
@@ -254,6 +255,11 @@ def verify_identity(
     }
 
 
+class SmokeFailure(Exception):
+    """A failed :func:`run_smoke` check.  Raised explicitly, so the
+    checks also hold under ``python -O``, which strips ``assert``."""
+
+
 def run_smoke(
     *,
     clients: int = 50,
@@ -265,8 +271,9 @@ def run_smoke(
     """The CI smoke: boot, drive concurrent queries, bound p99, audit
     served results against the invariant checker.
 
-    Raises ``AssertionError`` on any failure (errors, p99 over bound,
-    non-identical results, invariant violations).
+    Raises :class:`SmokeFailure` on any failure (errors, p99 over bound,
+    non-identical results, a served metric unlike the audited one); the
+    invariant checker raises its own error on a violated invariant.
     """
     from repro.api.facade import sized_workload
     from repro.checks.checker import CheckingRunner
@@ -279,13 +286,17 @@ def run_smoke(
             "smoke", server.host, server.port, _partition(pool, clients)
         )
         health = server.service.healthz()
-    assert phase.errors == 0, f"{phase.errors} failed requests"
-    assert phase.requests == total, f"served {phase.requests}/{total}"
-    assert (
-        phase.p99_ms <= p99_bound_ms
-    ), f"p99 {phase.p99_ms:.0f} ms over bound {p99_bound_ms:.0f} ms"
+    if phase.errors:
+        raise SmokeFailure(f"{phase.errors} failed requests")
+    if phase.requests != total:
+        raise SmokeFailure(f"served {phase.requests}/{total}")
+    if phase.p99_ms > p99_bound_ms:
+        raise SmokeFailure(
+            f"p99 {phase.p99_ms:.1f} ms over bound {p99_bound_ms:g} ms"
+        )
     identity = verify_identity(responses, check_sample)
-    assert identity["bit_identical"], f"identity mismatches: {identity}"
+    if not identity["bit_identical"]:
+        raise SmokeFailure(f"identity mismatches: {identity}")
     # Invariant audit: re-evaluate a sample under CheckingRunner(raise) —
     # it throws on any violated invariant — and pin the served metric to
     # the audited record's, bit for bit.
@@ -299,10 +310,11 @@ def run_smoke(
             ConfigName(query.config),
             query.num_threads,
         )
-        assert record.metric == response.metric, (
-            f"served metric {response.metric!r} != checked {record.metric!r} "
-            f"for {query}"
-        )
+        if record.metric != response.metric:
+            raise SmokeFailure(
+                f"served metric {response.metric!r} != checked "
+                f"{record.metric!r} for {query}"
+            )
         audited += 1
     return {
         "phase": phase.as_dict(),

@@ -33,7 +33,7 @@ from typing import (
     TYPE_CHECKING, Any, Awaitable, Iterable, Mapping, Sequence, TypeVar,
 )
 
-from repro.api.envelope import success_envelope
+from repro.api.envelope import plan_envelope_bytes, success_envelope
 from repro.api.errors import CapacityError, DeadlineExceededError, ValidationError
 from repro.api.facade import Predictor
 from repro.api.plan import PlanRequest, PlanResult
@@ -239,8 +239,9 @@ class RequestPipeline:
         raise NotImplementedError
 
     # -- /v1/plan -----------------------------------------------------------------
-    async def handle_plan(self, payload: Mapping[str, Any]) -> dict[str, Any]:
-        """Answer one ``/v1/plan`` body with the versioned envelope."""
+    async def handle_plan(self, payload: Mapping[str, Any]) -> bytes:
+        """Answer one ``/v1/plan`` body with the versioned envelope,
+        encoded (:func:`~repro.api.envelope.plan_envelope_bytes`)."""
         started = time.perf_counter()
         request = self.parse_plan(payload)
         deadline_s = self._deadline_s(payload)
@@ -251,9 +252,9 @@ class RequestPipeline:
         self.metrics.add(f"{self._prefix}.plans")
         if self._plan_histogram is not None:
             self.metrics.observe(self._plan_histogram, elapsed_ms)
-        return success_envelope(
-            plan=result.to_dict(),
-            meta={
+        return plan_envelope_bytes(
+            result,
+            {
                 "items": len(request.mix),
                 "pool": len(request.pool),
                 "candidates": candidates,

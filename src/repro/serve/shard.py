@@ -177,12 +177,11 @@ class ReplicaConnections:
 
     Generation-keyed, so a restarted replica never inherits a socket to
     its dead twin.  Not thread-safe: the router keeps one per pool
-    thread.
+    thread.  :func:`failover` sets a client's timeout before each use.
     """
 
-    def __init__(self, replicas: ReplicaSet, timeout: float) -> None:
+    def __init__(self, replicas: ReplicaSet) -> None:
         self.replicas = replicas
-        self.timeout = timeout
         self._clients: dict[str, tuple[int, ServeClient]] = {}
 
     def get(self, replica_id: str) -> ServeClient:
@@ -193,7 +192,7 @@ class ReplicaConnections:
             if entry is not None:
                 entry[1].close()
             host, port = self.replicas.address(replica_id)
-            entry = (generation, ServeClient(host, port, timeout=self.timeout))
+            entry = (generation, ServeClient(host, port))
             self._clients[replica_id] = entry
         return entry[1]
 
@@ -214,7 +213,7 @@ def failover(
     call: Callable[..., T],
     argument: Any,
     *,
-    deadline_at: float | None = None,
+    deadline_at: float,
     attempt_timeout_s: float | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> T:
@@ -225,9 +224,9 @@ def failover(
     :class:`~repro.api.errors.CapacityError` spills to the next replica
     without a health mark; a transport error or a malformed or poisoned
     answer (``OSError``/``ApiError``) drops the connection, charges the
-    replica's health and fails over.  With ``deadline_at`` (a
-    ``time.monotonic()`` instant) each attempt gets the remaining budget,
-    capped at ``attempt_timeout_s``, and expiry is a 504.  ``metrics``
+    replica's health and fails over.  Each attempt gets the budget left
+    until ``deadline_at`` (a ``time.monotonic()`` instant), capped at
+    ``attempt_timeout_s``, and expiry is a 504.  ``metrics``
     (the router's registry) counts ``router.*`` events per replica.
     """
 
@@ -238,19 +237,15 @@ def failover(
 
     replicas = connections.replicas
     last_error: Exception | None = None
-    remaining: float | None = None
     for replica_id in preferences:
-        if deadline_at is not None:
-            remaining = deadline_at - time.monotonic()
-            if remaining <= 0:
-                break
+        remaining = deadline_at - time.monotonic()
+        if remaining <= 0:
+            break
         try:
             client = connections.get(replica_id)
         except KeyError:  # deregistered while we routed
             continue
-        if remaining is None:
-            client.set_timeout(connections.timeout)
-        elif attempt_timeout_s is None:
+        if attempt_timeout_s is None:
             client.set_timeout(remaining + 0.5)
         else:
             client.set_timeout(min(remaining, attempt_timeout_s) + 0.5)
@@ -271,7 +266,7 @@ def failover(
         replicas.mark_success(replica_id)
         count("forwards", replica_id)
         return answer
-    if deadline_at is not None and time.monotonic() >= deadline_at:
+    if time.monotonic() >= deadline_at:
         count("deadline_exceeded")
         raise DeadlineExceededError(
             f"deadline exceeded while failing over (tried {list(preferences)})",
@@ -397,7 +392,7 @@ class ShardRouter(RequestPipeline):
         connections = getattr(self._tls, "connections", None)
         if connections is None:
             connections = self._tls.connections = ReplicaConnections(
-                self.replicas, timeout=60.0
+                self.replicas
             )
             with self._connections_lock:
                 self._connection_sets.append(connections)

@@ -1,4 +1,5 @@
-"""`repro bench plan`: repeated cold solves, a warm row, one history row."""
+"""`repro bench plan`: repeated cold solves, a warm row, the served
+parse and encode stages, one history row."""
 
 from __future__ import annotations
 
@@ -46,6 +47,17 @@ def test_rows_are_medians_with_their_iqr(resolves):
         assert 0.0 <= row[f"{prefix}iqr_ms"] <= max(samples) - min(samples)
         assert planner[f"{prefix}latency_ms"]["8"] == row[f"{prefix}latency_ms"]
         assert planner[f"{prefix}iqr_ms"]["8"] == row[f"{prefix}iqr_ms"]
+
+
+def test_served_parse_and_encode_have_rows(resolves):
+    _, _, document = resolves
+    planner = document["planner"]
+    row = planner["details"]["8"]
+    for stage in ("parse", "encode"):
+        assert row[f"{stage}_ms"] > 0.0
+        assert row[f"{stage}_iqr_ms"] >= 0.0
+        assert planner[f"{stage}_ms"]["8"] == row[f"{stage}_ms"]
+        assert planner[f"{stage}_iqr_ms"]["8"] == row[f"{stage}_iqr_ms"]
 
 
 def test_cold_solves_price_afresh_and_warm_ones_do_not(resolves):

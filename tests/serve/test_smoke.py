@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.api import Predictor
@@ -45,3 +50,30 @@ def test_run_smoke_passes_at_small_scale():
     assert report["identity"]["bit_identical"]
     assert report["violations"] == 0
     assert report["invariant_audited"] >= 1
+
+
+def test_p99_bound_violation_fails_under_optimize():
+    """``python -O`` strips ``assert``; the smoke's checks must survive it."""
+    root = Path(__file__).resolve().parents[2]
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-O",
+            str(root / "tools" / "serve_smoke.py"),
+            "--clients",
+            "2",
+            "--requests-per-client",
+            "2",
+            "--check-sample",
+            "1",
+            "--p99-bound-ms",
+            "0.001",
+        ],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 1, completed.stderr
+    assert "[serve-smoke] FAIL: p99" in completed.stderr
+    assert "over bound 0.001 ms" in completed.stderr

@@ -33,7 +33,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check-sample", type=int, default=16)
     args = parser.parse_args(argv)
 
-    from repro.serve.loadgen import run_smoke
+    from repro.checks.checker import InvariantViolation
+    from repro.serve.loadgen import SmokeFailure, run_smoke
 
     try:
         report = run_smoke(
@@ -43,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
             p99_bound_ms=args.p99_bound_ms,
             check_sample=args.check_sample,
         )
-    except AssertionError as exc:
+    except (SmokeFailure, InvariantViolation) as exc:
         print(f"[serve-smoke] FAIL: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(report, indent=2, sort_keys=True))
