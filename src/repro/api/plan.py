@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from repro.api.errors import (
     EmptyMixError,

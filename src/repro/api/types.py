@@ -22,9 +22,10 @@ servers can negotiate.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any
 
 from repro.api.errors import SchemaVersionError, ValidationError
 from repro.machine.registry import names as _registry_names

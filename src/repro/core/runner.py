@@ -60,8 +60,8 @@ class ExperimentRunner:
     def _boot(self, config: SystemConfig) -> tuple[SimulatedOS, PerformanceModel]:
         """Booted OS + model for a configuration, cached per MCDRAM mode.
 
-        Booting a :class:`SimulatedOS` (and with it a scipy cache-survival
-        interpolator) per run dominated the scalar path's setup cost; one
+        Booting a :class:`SimulatedOS` (and with it the memory system's
+        cache models) per run dominated the scalar path's setup cost; one
         boot per configuration serves every subsequent run.  The cache is
         thread-local because the OS allocator is mutated during a run
         (``allocation_scope`` restores it afterwards, but not atomically),

@@ -36,10 +36,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from repro.memory.device import MemoryDevice
 from repro.obs import metrics as obs_metrics
+from repro.util.pchip import Pchip
 from repro.util.validation import check_non_negative, check_positive
 
 # Survival anchors (footprint ratio -> resident fraction) for streaming
@@ -69,7 +69,7 @@ _STREAM_SURVIVAL_ANCHORS: tuple[tuple[float, float], ...] = (
 @functools.lru_cache(maxsize=None)
 def _survival_interpolator(
     anchors: tuple[tuple[float, float], ...] = _STREAM_SURVIVAL_ANCHORS,
-) -> tuple[PchipInterpolator, float]:
+) -> tuple[Pchip, float]:
     """The survival spline, built once per anchor set per process.
 
     Rebuilding the interpolator per :class:`MCDRAMCacheModel` was the
@@ -78,9 +78,8 @@ def _survival_interpolator(
     so machines that calibrate their own survival curve never share (or
     clobber) another machine's interpolator.
     """
-    xs = np.array([a[0] for a in anchors])
-    ys = np.array([a[1] for a in anchors])
-    return PchipInterpolator(xs, ys, extrapolate=False), float(xs[-1])
+    xs = [a[0] for a in anchors]
+    return Pchip(xs, [a[1] for a in anchors]), float(xs[-1])
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,7 @@ class MCDRAMCacheModel:
             return 1.0 if r <= 1.0 else min(1.0, 0.95 / r)
         if r >= self._survival_max_r:
             return 0.0
-        h = float(self._survival(r))
+        h = self._survival(r)
         # The modulo-mapping bound for contiguous placement: beyond capacity
         # at most (2C - F)/F of a cyclic stream can survive, and residency
         # can never exceed C/F.
@@ -231,11 +230,11 @@ class MCDRAMCacheModel:
     # bit-identical per element to its scalar twin above: the arithmetic
     # replicates the scalar expression order with exact IEEE ops
     # (multiply, divide, min, max), the survival spline is evaluated
-    # through the same PchipInterpolator (whose vectorized evaluation is
-    # per-point identical to scalar calls), and transcendentals stay on
-    # :mod:`math` per element — ``np.exp`` is not bit-identical to
-    # ``math.exp``.  ``tests/memory/test_mcdram_cache.py`` pins exact
-    # elementwise equality over a dense footprint grid.
+    # through :meth:`Pchip.many` (per-point identical to scalar calls),
+    # and transcendentals stay on :mod:`math` per element — ``np.exp``
+    # is not bit-identical to ``math.exp``.
+    # ``tests/memory/test_mcdram_cache.py`` pins exact elementwise
+    # equality over a dense footprint grid.
 
     def streaming_hit_rate_many(self, footprints: np.ndarray) -> np.ndarray:
         """Columnar twin of :meth:`streaming_hit_rate`."""
@@ -249,7 +248,7 @@ class MCDRAMCacheModel:
         live = r < self._survival_max_r
         if live.any():
             rl = r[live]
-            h = np.asarray(self._survival(rl), dtype=np.float64)
+            h = self._survival.many(rl)
             over = rl > 1.0
             h[over] = np.minimum(h[over], 1.0 / rl[over])
             out[live] = np.maximum(0.0, np.minimum(1.0, h))

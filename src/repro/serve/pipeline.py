@@ -28,10 +28,10 @@ Metric names carry each front end's prefix (``serve.*`` on the service,
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
-from typing import (
-    TYPE_CHECKING, Any, Awaitable, Iterable, Mapping, Sequence, TypeVar,
-)
+from collections.abc import Awaitable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from repro.api.envelope import plan_envelope_bytes, success_envelope
 from repro.api.errors import CapacityError, DeadlineExceededError, ValidationError
@@ -206,8 +206,13 @@ class RequestPipeline:
             cached = self.cache.get(key) if self.cache.enabled else None
             if cached is None:
                 misses.append(i)
-            else:
-                results[i] = cached
+                continue
+            # The key addresses the run, and sizes that quantize to one
+            # run share it: answer with the query that was asked.
+            query = queries[i]
+            if cached.query != query:
+                cached = dataclasses.replace(cached, query=query)
+            results[i] = cached
         hits = len(queries) - len(misses)
         prefix = self._prefix
         self.metrics.add(f"{prefix}.cache_hits", float(hits))

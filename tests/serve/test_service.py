@@ -22,7 +22,7 @@ from repro.api import (
     SchemaVersionError,
     ValidationError,
 )
-from repro.api.types import SCHEMA_VERSION
+from repro.api.types import SCHEMA_VERSION, PredictionResult
 from repro.serve.service import PredictionService, ServiceConfig
 
 
@@ -168,6 +168,27 @@ class TestCoalescingIdentity:
         assert first["meta"]["cached"] == 0
         assert second["meta"]["cached"] == 1
         assert first["results"] == second["results"]
+
+    def test_cache_hit_echoes_the_query_that_was_asked(self):
+        # 3.0 and 3.5 GB quantize to one run key, so the second request
+        # is a cache hit on the first one's answer.
+        asked = [
+            Query(workload="gups", size_gb=size, config="DRAM", num_threads=64)
+            for size in (3.0, 3.5)
+        ]
+
+        async def scenario(service):
+            return [
+                await service.handle_predict({"query": q.to_dict()})
+                for q in asked
+            ]
+
+        envelopes = run_service(scenario)
+        assert [e["meta"]["cached"] for e in envelopes] == [0, 1]
+        oracle = Predictor()
+        for query, envelope in zip(asked, envelopes):
+            (result,) = envelope["results"]
+            assert PredictionResult.from_dict(result) == oracle.predict(query)
 
 
 class TestWorkerPlanners:

@@ -77,6 +77,23 @@ def test_router_cache_tier_absorbs_repeats(deployment, oracle):
     assert after == before + 1.0
 
 
+def test_router_cache_hit_echoes_the_query_that_was_asked(deployment, oracle):
+    # 3.0 and 3.5 GB quantize to one run key: the second query is a
+    # router cache hit on the first one's answer.
+    _, host, port = deployment
+    asked = [
+        Query(workload="gups", size_gb=size, config="DRAM", num_threads=64)
+        for size in (3.0, 3.5)
+    ]
+    with ServeClient(host, port, timeout=60.0) as client:
+        first = client.predict(asked[0])
+        before = client.metrics()["service"]["counters"]["router.cache_hits"]
+        second = client.predict(asked[1])
+        after = client.metrics()["service"]["counters"]["router.cache_hits"]
+    assert [first, second] == [oracle.predict(q) for q in asked]
+    assert after == before + 1.0
+
+
 def test_healthz_reports_router_role_and_replica_states(deployment):
     _, host, port = deployment
     with ServeClient(host, port, timeout=30.0) as client:
