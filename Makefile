@@ -46,8 +46,8 @@ bench-engine:
 bench-plan:
 	python -m repro bench plan
 
-# The sharding verification layer: hash-ring properties, router/cache
-# behaviour, fault injection (kill/stall/slow/drain), client and
+# The sharding verification layer: hash-ring properties, routing to the
+# owners' caches, fault injection (kill/stall/slow/drain), client and
 # closed-loop error paths.  The gated serving benchmark is
 # servebench/ (servebench/README.md).
 serve-shard:

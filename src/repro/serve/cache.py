@@ -30,8 +30,8 @@ class TTLCache(Generic[V]):
     """LRU-bounded mapping whose entries expire after ``ttl_s`` seconds.
 
     ``max_entries == 0`` disables the cache entirely (every ``get`` is a
-    miss, ``put`` is a no-op) — the naive-server baseline.  ``ttl_s``
-    of ``None`` disables expiry (pure LRU).
+    miss, ``put`` is a no-op).  ``ttl_s`` of ``None`` disables expiry
+    (pure LRU).
     """
 
     def __init__(
@@ -58,10 +58,6 @@ class TTLCache(Generic[V]):
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    @property
-    def enabled(self) -> bool:
-        return self.max_entries > 0
 
     @property
     def lookups(self) -> int:

@@ -67,6 +67,9 @@ class ServeClient:
         self.schema_version = schema_version
         self._sock: socket.socket | None = None
         self._reader: Any = None  # buffered binary file over the socket
+        #: How many answers of the last ``/v1/predict`` call the server
+        #: served from its result cache (the envelope's ``meta.cached``).
+        self.last_cached = 0
 
     # -- transport ------------------------------------------------------------
     def _connect(self) -> None:
@@ -215,6 +218,11 @@ class ServeClient:
         results = envelope.get("results")
         if not isinstance(results, list) or len(results) != expected:
             raise _malformed(f"expected {expected} 'results'")
+        meta = envelope.get("meta")
+        cached = meta.get("cached") if isinstance(meta, Mapping) else None
+        if type(cached) is not int or not 0 <= cached <= expected:
+            raise _malformed(f"expected 'meta.cached' in [0, {expected}]")
+        self.last_cached = cached
         try:
             return [PredictionResult.from_dict(r) for r in results]
         except ValidationError as exc:

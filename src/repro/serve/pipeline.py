@@ -12,14 +12,14 @@ from its own worker pool) and :class:`~repro.serve.shard.ShardRouter`
 3. admission — a request expanding past ``max_request_queries``
    queries (or plan candidates) is refused with a 429, and only a
    ``running`` front end accepts work;
-4. per-query content-addressed keying and TTL result-cache lookups —
-   **each** constituent query counts one hit or miss, a grid of N is N
-   lookups;
+4. per-query content-addressed keying, which validates each query
+   (the service keys its result cache with them, the router its ring);
 5. the back half, which is all a subclass supplies:
-   :meth:`RequestPipeline._answer_misses` computes the cache misses and
-   :meth:`RequestPipeline._solve_plan` solves one plan;
-6. answers are cached and returned in submission order inside the
-   versioned success envelope.
+   :meth:`RequestPipeline._answer` answers the queries and says how many
+   came from a result cache, and :meth:`RequestPipeline._solve_plan`
+   solves one plan;
+6. answers are returned in submission order inside the versioned
+   success envelope.
 
 Metric names carry each front end's prefix (``serve.*`` on the service,
 ``router.*`` on the router).
@@ -28,7 +28,6 @@ Metric names carry each front end's prefix (``serve.*`` on the service,
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import time
 from collections.abc import Awaitable, Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING, Any, TypeVar
@@ -39,7 +38,6 @@ from repro.api.facade import Predictor
 from repro.api.plan import PlanRequest, PlanResult
 from repro.api.types import PredictionResult, Query, QueryGrid, check_schema_version
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.cache import TTLCache
 
 if TYPE_CHECKING:
     from repro.serve.service import ServiceConfig
@@ -78,11 +76,8 @@ class RequestPipeline:
     #: Histogram of whole ``/v1/plan`` handling time (``None``: none).
     _plan_histogram: str | None = "serve.plan_ms"
 
-    def __init__(self, service: "ServiceConfig", cache_entries: int) -> None:
+    def __init__(self, service: "ServiceConfig") -> None:
         self.metrics = MetricsRegistry()
-        self.cache: TTLCache[PredictionResult] = TTLCache(
-            cache_entries, service.cache_ttl_s
-        )
         # Resolution/keying only — never evaluates, so event-loop-only use
         # is safe alongside any evaluating predictors.
         self._resolver = Predictor(machine=service.machine)
@@ -189,58 +184,32 @@ class RequestPipeline:
             ) from None
 
     # -- /v1/predict --------------------------------------------------------------
-    def _keys(self, queries: Sequence[Query]) -> list[str]:
-        """Content-addressed run keys (validating each query)."""
-        return [self._resolver.cache_key(q) for q in queries]
-
     async def handle_predict(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         """Answer one ``/v1/predict`` body with the versioned envelope."""
         started = time.perf_counter()
         queries = self.parse_queries(payload)
         deadline_s = self._deadline_s(payload)
         self._admit(len(queries), "request", "queries")
-        keys = self._keys(queries)
-        results: list[PredictionResult | None] = [None] * len(queries)
-        misses: list[int] = []
-        for i, key in enumerate(keys):
-            cached = self.cache.get(key) if self.cache.enabled else None
-            if cached is None:
-                misses.append(i)
-                continue
-            # The key addresses the run, and sizes that quantize to one
-            # run share it: answer with the query that was asked.
-            query = queries[i]
-            if cached.query != query:
-                cached = dataclasses.replace(cached, query=query)
-            results[i] = cached
-        hits = len(queries) - len(misses)
-        prefix = self._prefix
-        self.metrics.add(f"{prefix}.cache_hits", float(hits))
-        self.metrics.add(f"{prefix}.cache_misses", float(len(misses)))
-        if misses:
-            computed = await self._answer_misses(
-                [queries[i] for i in misses], [keys[i] for i in misses], deadline_s
-            )
-            for i, result in zip(misses, computed):
-                results[i] = result
-                self.cache.put(keys[i], result)
-        self.metrics.add(f"{prefix}.queries", float(len(queries)))
-        self.metrics.set_gauge(f"{prefix}.cache_hit_rate", self.cache.hit_rate)
+        # Content-addressed run keys, which also validate each query.
+        keys = [self._resolver.cache_key(q) for q in queries]
+        results, cached = await self._answer(queries, keys, deadline_s)
+        self.metrics.add(f"{self._prefix}.queries", float(len(queries)))
         elapsed_ms = (time.perf_counter() - started) * 1e3
         return success_envelope(
-            results=[r.to_dict() for r in results],  # type: ignore[union-attr]
+            results=[r.to_dict() for r in results],
             meta={
                 "queries": len(queries),
-                "cached": hits,
-                "computed": len(misses),
+                "cached": cached,
+                "computed": len(queries) - cached,
                 "elapsed_ms": elapsed_ms,
             },
         )
 
-    async def _answer_misses(
+    async def _answer(
         self, queries: list[Query], keys: list[str], deadline_s: float
-    ) -> Sequence[PredictionResult]:
-        """The cache misses' answers, in order, within ``deadline_s``."""
+    ) -> tuple[Sequence[PredictionResult], int]:
+        """The queries' answers, in order, within ``deadline_s``, and how
+        many of them came from a result cache."""
         raise NotImplementedError
 
     # -- /v1/plan -----------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 :class:`PredictionService` is the protocol-independent core behind the
 HTTP layer (:mod:`repro.serve.http`).  The request front half — parsing,
-deadlines, admission, keying, the TTL result cache and the envelopes —
-is the shared :class:`~repro.serve.pipeline.RequestPipeline`; this class
-supplies the back half:
+deadlines, admission, keying and the envelopes — is the shared
+:class:`~repro.serve.pipeline.RequestPipeline`; this class supplies the
+back half:
 
-* cache misses go to the coalescer under the per-request deadline,
-  whose expiry cancels still-queued work;
+* each query is looked up in the TTL result cache, and the misses go to
+  the coalescer under the per-request deadline, whose expiry cancels
+  still-queued work;
 * a ``/v1/plan`` solve runs on a pool thread through that thread's
   :class:`~repro.plan.planner.CapacityPlanner`.
 
@@ -25,8 +26,8 @@ import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
-from typing import Any, Callable, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Callable
 
 import repro
 from repro.api.envelope import success_envelope
@@ -35,6 +36,7 @@ from repro.api.facade import Predictor
 from repro.api.plan import PlanRequest, PlanResult
 from repro.api.types import MACHINE_NAMES, PredictionResult, Query
 from repro.plan.planner import CapacityPlanner
+from repro.serve.cache import TTLCache
 from repro.serve.coalescer import Coalescer
 from repro.serve.pipeline import RequestPipeline, sum_counters
 
@@ -85,6 +87,10 @@ class ServiceConfig:
             raise ValidationError(
                 f"cache_entries must be >= 0, got {self.cache_entries}"
             )
+        if self.cache_ttl_s is not None and self.cache_ttl_s <= 0:
+            raise ValidationError(
+                f"cache_ttl_s must be positive or None, got {self.cache_ttl_s}"
+            )
         if self.default_deadline_s <= 0:
             raise ValidationError(
                 f"default_deadline_s must be positive, got "
@@ -97,7 +103,10 @@ class PredictionService(RequestPipeline):
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config if config is not None else ServiceConfig()
-        super().__init__(self.config, self.config.cache_entries)
+        super().__init__(self.config)
+        self.cache: TTLCache[PredictionResult] = TTLCache(
+            self.config.cache_entries, self.config.cache_ttl_s
+        )
         self._tls = threading.local()
         self._predictors: list[Predictor] = []
         self._predictors_lock = threading.Lock()
@@ -185,30 +194,45 @@ class PredictionService(RequestPipeline):
         return self._worker_predictor().predict_many(queries)
 
     # -- the back half (event loop) -------------------------------------------
-    def _keys(self, queries: Sequence[Query]) -> list[str]:
-        # Content-addressed keys exist to serve the result cache; with the
-        # cache disabled (the naive baseline) computing them would charge
-        # that configuration for work it cannot use.
-        if self.cache.enabled:
-            return super()._keys(queries)
-        # Still validate at the boundary: one malformed query must not
-        # fail the shared batch it would be coalesced into.
-        for query in queries:
-            self._resolver.resolve(query)
-        return [""] * len(queries)
-
-    async def _answer_misses(
+    async def _answer(
         self, queries: list[Query], keys: list[str], deadline_s: float
-    ) -> Sequence[PredictionResult]:
-        assert self._coalescer is not None
-        futures = [self._coalescer.submit(q, k) for q, k in zip(queries, keys)]
-        pending = f"{len(futures)} queries pending"
-        # The single-query request is the hot path: skip the gather layer.
-        if len(futures) == 1:
-            return [await self._within_deadline(futures[0], deadline_s, pending)]
-        return await self._within_deadline(
-            asyncio.gather(*futures), deadline_s, pending
-        )
+    ) -> tuple[list[PredictionResult], int]:
+        """Hits from the TTL result cache, misses through the coalescer
+        (**each** query counts one hit or miss)."""
+        results: list[PredictionResult | None] = [None] * len(queries)
+        misses: list[int] = []
+        for i, key in enumerate(keys):
+            cached = self.cache.get(key)
+            if cached is None:
+                misses.append(i)
+                continue
+            # The key addresses the run, and sizes that quantize to one
+            # run share it: answer with the query that was asked.
+            query = queries[i]
+            if cached.query != query:
+                cached = replace(cached, query=query)
+            results[i] = cached
+        hits = len(queries) - len(misses)
+        self.metrics.add("serve.cache_hits", float(hits))
+        self.metrics.add("serve.cache_misses", float(len(misses)))
+        if misses:
+            assert self._coalescer is not None
+            futures = [self._coalescer.submit(queries[i], keys[i]) for i in misses]
+            pending = f"{len(futures)} queries pending"
+            # The single-query request is the hot path: skip the gather layer.
+            if len(futures) == 1:
+                computed = [
+                    await self._within_deadline(futures[0], deadline_s, pending)
+                ]
+            else:
+                computed = await self._within_deadline(
+                    asyncio.gather(*futures), deadline_s, pending
+                )
+            for i, result in zip(misses, computed):
+                results[i] = result
+                self.cache.put(keys[i], result)
+        self.metrics.set_gauge("serve.cache_hit_rate", self.cache.hit_rate)
+        return results, hits  # type: ignore[return-value]
 
     def _plan_on_worker(self, request: PlanRequest) -> PlanResult:
         """One plan solve on a pool thread, through that thread's planner

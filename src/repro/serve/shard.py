@@ -15,11 +15,12 @@ machine's tables warms every other replica's cold start.
 The data plane is :class:`ShardRouter`, a single HTTP entry point
 speaking the exact ``repro.serve`` wire protocol.  It is the service's
 request pipeline (:class:`~repro.serve.pipeline.RequestPipeline`:
-parsing, deadlines, admission, a router-level result cache above the
-per-replica caches, envelopes) with a forwarding back half: each
-request's misses are split into per-owner groups and forwarded
-concurrently on a thread pool, a plan goes whole to the owner of its
-canonical key.
+parsing, deadlines, admission, keying, envelopes) with a forwarding
+back half: each request's queries are split into per-owner groups and
+forwarded concurrently on a thread pool, a plan goes whole to the owner
+of its canonical key.  The router keeps no result cache of its own: the
+owners' caches answer repeats, and the router reports the sum of their
+``meta.cached``.
 
 The router fails over through one loop, :func:`failover`, along the
 ring's preference order.  Its semantics (proved by
@@ -136,10 +137,6 @@ class ShardConfig:
     #: Active ``/healthz`` probe period; ``0`` disables active probing
     #: (passive failure detection still runs).
     probe_interval_s: float = 0.5
-    #: Shared router-tier result cache (a second tier above the
-    #: per-replica caches, with the replicas' ``cache_ttl_s``; 0
-    #: disables).
-    router_cache_entries: int = 8192
     #: Maximum replicas tried per group (ring preference order).
     max_attempts: int = 3
     #: Per-attempt time budget; ``None`` spends the full remaining
@@ -164,11 +161,6 @@ class ShardConfig:
             raise ValidationError(
                 f"attempt_timeout_s must be positive or None, got "
                 f"{self.attempt_timeout_s}"
-            )
-        if self.router_cache_entries < 0:
-            raise ValidationError(
-                f"router_cache_entries must be >= 0, got "
-                f"{self.router_cache_entries}"
             )
 
 
@@ -279,6 +271,15 @@ def failover(
     ) from last_error
 
 
+def _predict_counting_cached(
+    client: ServeClient, queries: list[Query], *, deadline_s: float
+) -> tuple[list[PredictionResult], int]:
+    """:meth:`ServeClient.predict_many`, plus how many of the answers the
+    replica served from its result cache."""
+    results = client.predict_many(queries, deadline_s=deadline_s)
+    return results, client.last_cached
+
+
 class ShardRouter(RequestPipeline):
     """Routing front end with the PredictionService protocol surface.
 
@@ -287,8 +288,8 @@ class ShardRouter(RequestPipeline):
     :class:`~repro.serve.threadserver.ServerThread` need — async
     ``start``/``stop`` and ``healthz``/``version``/``metrics_document``
     — so the whole HTTP layer is reused unchanged.  Its back half
-    forwards: cache misses go to their ring owners, a plan to the owner
-    of its canonical key.
+    forwards: queries go to their ring owners, a plan to the owner of
+    its canonical key.
     """
 
     _prefix = "router"
@@ -299,7 +300,7 @@ class ShardRouter(RequestPipeline):
     _plan_histogram = None
 
     def __init__(self, config: ShardConfig, replicas: ReplicaSet) -> None:
-        super().__init__(config.service, config.router_cache_entries)
+        super().__init__(config.service)
         self.config = config
         self.replicas = replicas
         self._pool: ThreadPoolExecutor | None = None
@@ -417,11 +418,12 @@ class ShardRouter(RequestPipeline):
         return ring
 
     # -- the back half (event loop) -------------------------------------------
-    async def _answer_misses(
+    async def _answer(
         self, queries: list[Query], keys: list[str], deadline_s: float
-    ) -> Sequence[PredictionResult]:
-        """Group misses by ring owner, forward the groups concurrently,
-        scatter the answers back into submission order."""
+    ) -> tuple[list[PredictionResult], int]:
+        """Group queries by ring owner, forward the groups concurrently,
+        scatter the answers back into submission order; the cached count
+        is the sum of the owners' counts."""
         ring = self._routable_ring()
         groups: dict[str, list[int]] = {}
         for index, key in enumerate(keys):
@@ -433,7 +435,7 @@ class ShardRouter(RequestPipeline):
                 self._pool,
                 self._forward,
                 ring.preferences(keys[indices[0]], self.config.max_attempts),
-                ServeClient.predict_many,
+                _predict_counting_cached,
                 [queries[i] for i in indices],
                 deadline_at,
             )
@@ -445,10 +447,11 @@ class ShardRouter(RequestPipeline):
             f"{len(queries)} queries pending",
         )
         results: list[PredictionResult | None] = [None] * len(queries)
-        for indices, group_results in zip(groups.values(), answered):
+        for indices, (group_results, _) in zip(groups.values(), answered):
             for index, result in zip(indices, group_results):
                 results[index] = result
-        return results  # type: ignore[return-value]
+        cached = sum(group_cached for _, group_cached in answered)
+        return results, cached  # type: ignore[return-value]
 
     async def _solve_plan(
         self, request: PlanRequest, deadline_s: float
@@ -500,8 +503,8 @@ class ShardRouter(RequestPipeline):
             return client.metrics()
 
     async def metrics_document(self) -> dict[str, Any]:
-        """The ``/metrics`` document: router registry + router cache +
-        per-replica snapshots + the cross-replica aggregate.
+        """The ``/metrics`` document: router registry + per-replica
+        snapshots + the cross-replica aggregate.
 
         Each replica counts its own events exactly once, so fleet totals
         are **sums over snapshots taken in this single pass** — never a
@@ -531,7 +534,6 @@ class ShardRouter(RequestPipeline):
         reachable = [s for s in per_replica.values() if "error" not in s]
         return success_envelope(
             service=self.metrics.as_dict(),
-            cache=self.cache.stats(),
             replica_set=self.replicas.as_dict(),
             replicas=per_replica,
             aggregate={

@@ -62,7 +62,6 @@ def test_no_ttl_means_pure_lru(clock):
 
 def test_zero_entries_disables_the_cache(clock):
     cache: TTLCache[str] = TTLCache(0, ttl_s=None, clock=clock)
-    assert not cache.enabled
     cache.put("a", "va")
     assert cache.get("a") is None
     assert len(cache) == 0

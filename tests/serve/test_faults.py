@@ -50,7 +50,6 @@ def _deployment(
         service=ServiceConfig(workers=1, cache_ttl_s=None),
         probe_interval_s=0.0,  # passive detection only: deterministic
         fail_after=1,
-        router_cache_entries=0,  # every request must touch a replica
         attempt_timeout_s=2.0,
     )
     settings.update(overrides)
@@ -329,27 +328,32 @@ def test_capacity_spill_keeps_overloaded_replica_healthy(oracle):
 
 
 @pytest.mark.parametrize(
-    "body",
-    [{"meta": {}}, {"results": []}],
-    ids=["missing-results", "short-results"],
+    "damage",
+    [
+        lambda envelope: {k: v for k, v in envelope.items() if k != "results"},
+        lambda envelope: {**envelope, "results": []},
+        # The router sums its replicas' counts into its own meta.cached.
+        lambda envelope: {**envelope, "meta": {**envelope["meta"], "cached": None}},
+    ],
+    ids=["missing-results", "short-results", "no-cached-count"],
 )
-def test_malformed_replica_answer_fails_over(oracle, body):
+def test_malformed_replica_answer_fails_over(oracle, damage):
     """A replica that answers 200 with a body that does not answer the
     request is faulty, not the request: the caller gets the successor's
     bit-identical answer and the replica is charged (here: downed)."""
-    from repro.api.envelope import success_envelope
-
     faults = FaultInjector()
     deployment = _deployment(faults)
     try:
         host, port = deployment.start()
         query = _queries()[0]
         victim = _owner_of(deployment, oracle, query)
+        service = deployment.handle(victim).service
+        honest = service.handle_predict
 
         async def malformed(payload):
-            return success_envelope(**body)
+            return damage(await honest(payload))
 
-        deployment.handle(victim).service.handle_predict = malformed
+        service.handle_predict = malformed
         with ServeClient(host, port, timeout=30.0) as client:
             assert client.predict(query, deadline_s=20.0) == oracle.predict(query)
         assert deployment.replicas.info(victim).state == "down"

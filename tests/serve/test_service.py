@@ -385,6 +385,8 @@ class TestServiceConfigValidation:
             {"max_batch": 0},
             {"max_queue": 0},
             {"cache_entries": -1},
+            {"cache_ttl_s": 0.0},
+            {"cache_ttl_s": -1.0},
             {"default_deadline_s": 0.0},
         ],
     )

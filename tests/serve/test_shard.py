@@ -1,4 +1,4 @@
-"""The sharded deployment: routing, cache tiers, health, aggregation.
+"""The sharded deployment: routing, owner caches, health, aggregation.
 
 Thread-backend deployments throughout (fast to boot, faultable); the
 process backend is exercised by the CLI integration test and
@@ -15,7 +15,7 @@ import pytest
 
 from repro.api import Predictor
 from repro.api.errors import CapacityError, ValidationError
-from repro.api.types import Query
+from repro.api.types import PredictionResult, Query
 from repro.serve.client import ServeClient
 from repro.serve.service import ServiceConfig
 from repro.serve.shard import ShardConfig, ShardDeployment
@@ -63,23 +63,39 @@ def test_router_answers_bit_identically(deployment, oracle):
     assert [oracle.predict(q) for q in queries] == results
 
 
-def test_router_cache_tier_absorbs_repeats(deployment, oracle):
+def _forwards(document) -> float:
+    counters = document["service"]["counters"]
+    return sum(v for k, v in counters.items() if k.startswith("router.forwards"))
+
+
+def test_router_repeat_is_a_hit_in_the_owners_cache(deployment, oracle):
+    """The router keeps no result cache: a repeat is forwarded to the
+    ring owner of its key, whose cache answers it, and the router's
+    envelope reports that hit."""
     _, host, port = deployment
     query = _queries()[0]
     with ServeClient(host, port, timeout=60.0) as client:
-        first = client.predict(query)
-        before = client.metrics()["service"]["counters"].get(
-            "router.cache_hits", 0.0
+        client.predict(query)  # the owner now holds the answer
+        before = client.metrics()
+        status, envelope = client.request(
+            "POST", "/v1/predict", {"query": query.to_dict()}
         )
-        second = client.predict(query)
-        after = client.metrics()["service"]["counters"]["router.cache_hits"]
-    assert first == second == oracle.predict(query)
-    assert after == before + 1.0
+        after = client.metrics()
+    assert status == 200
+    assert envelope["meta"]["cached"] == 1
+    assert envelope["meta"]["computed"] == 0
+    assert PredictionResult.from_dict(envelope["results"][0]) == oracle.predict(
+        query
+    )
+    hits = [m["aggregate"]["cache"]["hits"] for m in (before, after)]
+    assert hits[1] == hits[0] + 1
+    assert _forwards(after) == _forwards(before) + 1.0
+    assert "cache" not in after
 
 
-def test_router_cache_hit_echoes_the_query_that_was_asked(deployment, oracle):
-    # 3.0 and 3.5 GB quantize to one run key: the second query is a
-    # router cache hit on the first one's answer.
+def test_owner_cache_hit_echoes_the_query_that_was_asked(deployment, oracle):
+    # 3.0 and 3.5 GB quantize to one run key, so one owner: the second
+    # query is a hit in its cache on the first one's answer.
     _, host, port = deployment
     asked = [
         Query(workload="gups", size_gb=size, config="DRAM", num_threads=64)
@@ -87,11 +103,13 @@ def test_router_cache_hit_echoes_the_query_that_was_asked(deployment, oracle):
     ]
     with ServeClient(host, port, timeout=60.0) as client:
         first = client.predict(asked[0])
-        before = client.metrics()["service"]["counters"]["router.cache_hits"]
+        before = client.metrics()["aggregate"]["cache"]["hits"]
         second = client.predict(asked[1])
-        after = client.metrics()["service"]["counters"]["router.cache_hits"]
+        assert client.last_cached == 1
+        after = client.metrics()["aggregate"]["cache"]["hits"]
     assert [first, second] == [oracle.predict(q) for q in asked]
-    assert after == before + 1.0
+    assert second.query.size_gb == 3.5
+    assert after == before + 1
 
 
 def test_healthz_reports_router_role_and_replica_states(deployment):
@@ -113,14 +131,13 @@ def test_healthz_reports_router_role_and_replica_states(deployment):
 
 
 def test_forwards_follow_ring_assignment(oracle):
-    """Key affinity end to end: with the router cache off, every query
-    is forwarded to exactly the replica the ring assigns its key to."""
+    """Key affinity end to end: every query is forwarded to exactly the
+    replica the ring assigns its key to."""
     config = ShardConfig(
         replicas=2,
         backend="thread",
         service=ServiceConfig(workers=1, cache_ttl_s=None),
         probe_interval_s=0.0,
-        router_cache_entries=0,
     )
     deployment = ShardDeployment(config)
     with deployment as (host, port):
@@ -197,7 +214,6 @@ def test_restart_bumps_generation_and_keeps_answers_identical(oracle):
         backend="thread",
         service=ServiceConfig(workers=1, cache_ttl_s=None),
         probe_interval_s=0.0,
-        router_cache_entries=0,  # every answer below crosses the router hop
     )
     deployment = ShardDeployment(config)
     with deployment as (host, port):
@@ -225,7 +241,6 @@ def test_no_routable_replicas_is_a_typed_capacity_error():
         probe_interval_s=0.0,
         fail_after=1,
         attempt_timeout_s=2.0,
-        router_cache_entries=0,
     )
     deployment = ShardDeployment(config)
     with deployment as (host, port):
