@@ -36,68 +36,29 @@ Quickstart::
         print(config.value, record.metric)
 """
 
-from repro.core import (
-    ConfigName,
-    ExperimentRunner,
-    PlacementAdvisor,
-    ResultSet,
-    RunRecord,
-    SweepExecutor,
-    SystemConfig,
-    make_config,
-    size_sweep,
-    standard_configs,
-    thread_sweep,
-)
-from repro.engine import (
-    AccessPattern,
-    Location,
-    MemoryProfile,
-    PerformanceModel,
-    Phase,
-    PlacementMix,
-)
-from repro import api, obs
-from repro.api import PredictionResult, Predictor, Query, QueryGrid
-from repro.machine import KNLMachine, knl7210, knl7250
-from repro.memory import MCDRAMConfig, MemoryMode, MemorySystem
-from repro.obs import Observation, observe
-from repro.runtime import SimulatedOS
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "ConfigName",
-    "ExperimentRunner",
-    "SweepExecutor",
-    "PlacementAdvisor",
-    "ResultSet",
-    "RunRecord",
-    "SystemConfig",
-    "make_config",
-    "size_sweep",
-    "standard_configs",
-    "thread_sweep",
-    "AccessPattern",
-    "Location",
-    "MemoryProfile",
-    "PerformanceModel",
-    "Phase",
-    "PlacementMix",
-    "KNLMachine",
-    "knl7210",
-    "knl7250",
-    "MCDRAMConfig",
-    "MemoryMode",
-    "MemorySystem",
-    "SimulatedOS",
-    "api",
-    "Query",
-    "QueryGrid",
-    "PredictionResult",
-    "Predictor",
-    "obs",
-    "Observation",
-    "observe",
-    "__version__",
-]
+#: Subpackage -> the public names it defines (resolved on first access,
+#: so ``import repro`` loads no subpackage; see :mod:`repro._lazy`).
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "core": (
+            "ConfigName", "ExperimentRunner", "SweepExecutor",
+            "PlacementAdvisor", "ResultSet", "RunRecord", "SystemConfig",
+            "make_config", "size_sweep", "standard_configs", "thread_sweep",
+        ),
+        "engine": (
+            "AccessPattern", "Location", "MemoryProfile", "PerformanceModel",
+            "Phase", "PlacementMix",
+        ),
+        "machine": ("KNLMachine", "knl7210", "knl7250"),
+        "memory": ("MCDRAMConfig", "MemoryMode", "MemorySystem"),
+        "runtime": ("SimulatedOS",),
+        "api": ("api", "Query", "QueryGrid", "PredictionResult", "Predictor"),
+        "obs": ("obs", "Observation", "observe"),
+    },
+)
+__all__.append("__version__")

@@ -7,91 +7,34 @@ optimizer and the batch engine all route through the types
 (:mod:`repro.api.facade`) re-exported here.
 """
 
-from repro.api.envelope import error_envelope, success_envelope
-from repro.api.errors import (
-    ApiError,
-    CapacityError,
-    DeadlineExceededError,
-    EmptyMixError,
-    InfeasibleConfigError,
-    InfeasiblePlanError,
-    PlanError,
-    SchemaVersionError,
-    UnknownMachineError,
-    UnknownWorkloadError,
-    ValidationError,
-    error_from_info,
-)
-from repro.api.facade import (
-    Predictor,
-    compare_configs,
-    default_predictor,
-    evaluate_placements,
-    machine_preset,
-    predict,
-    predict_grid,
-    predict_many,
-    query_cache_key,
-    sized_workload,
-)
-from repro.api.plan import (
-    OBJECTIVES,
-    MachineLoad,
-    PlanAssignment,
-    PlanRequest,
-    PlanResult,
-    PoolEntry,
-    TrafficItem,
-)
-from repro.api.types import (
-    MACHINE_NAMES,
-    SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
-    ErrorInfo,
-    PredictionResult,
-    Query,
-    QueryGrid,
-    check_schema_version,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "SUPPORTED_SCHEMA_VERSIONS",
-    "MACHINE_NAMES",
-    "OBJECTIVES",
-    "Query",
-    "QueryGrid",
-    "PredictionResult",
-    "ErrorInfo",
-    "TrafficItem",
-    "PoolEntry",
-    "PlanRequest",
-    "PlanAssignment",
-    "MachineLoad",
-    "PlanResult",
-    "check_schema_version",
-    "success_envelope",
-    "error_envelope",
-    "ApiError",
-    "ValidationError",
-    "SchemaVersionError",
-    "UnknownWorkloadError",
-    "InfeasibleConfigError",
-    "CapacityError",
-    "DeadlineExceededError",
-    "PlanError",
-    "EmptyMixError",
-    "UnknownMachineError",
-    "InfeasiblePlanError",
-    "error_from_info",
-    "Predictor",
-    "default_predictor",
-    "predict",
-    "predict_many",
-    "predict_grid",
-    "compare_configs",
-    "evaluate_placements",
-    "query_cache_key",
-    "sized_workload",
-    "machine_preset",
-]
+#: Submodule -> the public names it defines.  Names resolve on first
+#: access (PEP 562): importing :mod:`repro.api` loads none of its
+#: submodules, and none of them loads model code at import time.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "envelope": ("error_envelope", "success_envelope"),
+        "errors": (
+            "ApiError", "CapacityError", "DeadlineExceededError",
+            "EmptyMixError", "InfeasibleConfigError", "InfeasiblePlanError",
+            "PlanError", "SchemaVersionError", "UnknownMachineError",
+            "UnknownWorkloadError", "ValidationError", "error_from_info",
+        ),
+        "facade": (
+            "Predictor", "compare_configs", "default_predictor",
+            "evaluate_placements", "machine_preset", "predict", "predict_grid",
+            "predict_many", "query_cache_key", "sized_workload",
+        ),
+        "plan": (
+            "OBJECTIVES", "MachineLoad", "PlanAssignment", "PlanRequest",
+            "PlanResult", "PoolEntry", "TrafficItem",
+        ),
+        "types": (
+            "MACHINE_NAMES", "SCHEMA_VERSION", "SUPPORTED_SCHEMA_VERSIONS",
+            "ErrorInfo", "PredictionResult", "Query", "QueryGrid",
+            "check_schema_version",
+        ),
+    },
+)

@@ -30,7 +30,6 @@ loads into the pool's node counts (docs/PLANNING.md).
 
 from __future__ import annotations
 
-import functools
 import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from repro.api.errors import (
 )
 from repro.api.types import (
     MACHINE_NAMES,
+    PAPER_TRIO,
     SCHEMA_VERSION,
     _canonical_config,
     _check_size,
@@ -105,14 +105,6 @@ def _check_non_negative(name: str, value: Any) -> float:
     if number < 0:
         raise ValidationError(f"{name} must be >= 0, got {value!r}")
     return number
-
-
-@functools.cache
-def _paper_trio() -> tuple[str, ...]:
-    """The paper trio's config values, resolved once."""
-    from repro.core.configs import ConfigName
-
-    return tuple(c.value for c in ConfigName.paper_trio())
 
 
 @dataclass(frozen=True)
@@ -263,7 +255,7 @@ class PoolEntry:
     def effective_configs(self) -> tuple[str, ...]:
         """The configs the planner enumerates: the explicit list, or the
         paper trio when none was given."""
-        return self.configs or _paper_trio()
+        return self.configs or PAPER_TRIO
 
     def to_dict(self) -> dict[str, Any]:
         return {

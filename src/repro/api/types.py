@@ -21,14 +21,11 @@ servers can negotiate.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Any
 
 from repro.api.errors import SchemaVersionError, ValidationError
-from repro.machine.registry import names as _registry_names
 
 #: Version of the wire schema.  Bump on any incompatible change to the
 #: dataclasses below or to the service envelopes built from them.
@@ -42,13 +39,32 @@ SCHEMA_VERSION = 3
 SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3)
 
 #: Machine presets a query may name — every key in the machine registry
-#: (:mod:`repro.machine.registry`).
-MACHINE_NAMES = _registry_names()
+#: (:mod:`repro.machine.registry`), in registration order.  Held as data
+#: so the wire types load no model code; a test pins it to the registry.
+MACHINE_NAMES = ("knl7210", "knl7250", "xeonmax9480", "nvmsim")
+
+#: ``(member name, value)`` of every
+#: :class:`~repro.core.configs.ConfigName`, in member order — the
+#: configuration spellings a query may use.  Data for the same reason as
+#: :data:`MACHINE_NAMES`, and pinned to the enum the same way.
+CONFIG_NAMES = (
+    ("DRAM", "DRAM"),
+    ("HBM", "HBM"),
+    ("CACHE", "Cache Mode"),
+    ("HYBRID", "Hybrid"),
+    ("INTERLEAVE", "Interleave"),
+)
+
+#: The paper's three configurations (``ConfigName.paper_trio()``), by
+#: value, in order.
+PAPER_TRIO = ("DRAM", "HBM", "Cache Mode")
 
 __all__ = [
     "SCHEMA_VERSION",
     "SUPPORTED_SCHEMA_VERSIONS",
     "MACHINE_NAMES",
+    "CONFIG_NAMES",
+    "PAPER_TRIO",
     "ErrorInfo",
     "Query",
     "QueryGrid",
@@ -122,27 +138,19 @@ def _canonical_config(value: Any) -> str:
     the Python enum.
     """
     text = _check_str("config", value)
-    canonical = _config_aliases().get(text.lower())
+    canonical = _CONFIG_ALIASES.get(text.lower())
     if canonical is None:
-        options = ", ".join(dict.fromkeys(_config_aliases().values()))
+        options = ", ".join(value for _, value in CONFIG_NAMES)
         raise ValidationError(
             f"unknown config {value!r}; expected one of {options}"
         )
     return canonical
 
 
-@functools.cache
-def _config_aliases() -> Mapping[str, str]:
-    """Lower-cased ``ConfigName`` member names and values -> the value,
-    in member order.  Built on first use: ``repro.core`` resolves this
-    module at import time."""
-    from repro.core.configs import ConfigName
-
-    aliases: dict[str, str] = {}
-    for name in ConfigName:
-        aliases.setdefault(name.name.lower(), name.value)
-        aliases.setdefault(name.value.lower(), name.value)
-    return MappingProxyType(aliases)
+#: Lower-cased member names and values -> the value.
+_CONFIG_ALIASES = {
+    alias.lower(): value for name, value in CONFIG_NAMES for alias in (name, value)
+}
 
 
 def _canonical_machine(value: Any) -> str:

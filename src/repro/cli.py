@@ -26,19 +26,28 @@ import json
 import os
 import sys
 from collections.abc import Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro import obs
-from repro.checks.checker import InvariantViolation, check_mode_from_env
-from repro.core.advisor import PlacementAdvisor
-from repro.core.executor import SweepExecutor
-from repro.core.runner import ExperimentRunner
-from repro.figures import EXHIBITS, FIXED_TO_KNL
-from repro.machine import registry
-from repro.machine.topology import ThreadCapacityError
-from repro.memory.modes import MCDRAMConfig
-from repro.runtime.simos import SimulatedOS
-from repro.workloads.registry import FROM_GB
+from repro.api.types import MACHINE_NAMES
+
+if TYPE_CHECKING:
+    from repro.core.executor import SweepExecutor
+
+# The model loads inside the commands that use it, so `repro serve
+# --replicas N` runs its router without it.  The parser's choices are
+# therefore data; tests pin each tuple to its registry.
+
+#: Every exhibit id, in :data:`repro.figures.EXHIBITS` order.
+EXHIBIT_IDS = (
+    "table1", "table2", "fig1", "fig2", "fig3",
+    "fig4a", "fig4b", "fig4c", "fig4d", "fig4e",
+    "fig5", "fig6a", "fig6b", "fig6c", "fig6d", "machines",
+)
+
+#: Workloads with a size constructor
+#: (:data:`repro.workloads.registry.FROM_GB`), sorted.
+SIZED_WORKLOADS = ("dgemm", "graph500", "gups", "minife", "xsbench")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--machine",
-        choices=list(registry.names()),
+        choices=MACHINE_NAMES,
         default="knl7210",
         help=(
             "machine model from the registry to evaluate on "
@@ -108,18 +117,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list available exhibits")
     sub.add_parser("all", help="generate every exhibit")
     sub.add_parser("describe", help="describe the modelled node")
-    for exhibit_id in EXHIBITS:
+    for exhibit_id in EXHIBIT_IDS:
         sub.add_parser(exhibit_id, help=f"generate {exhibit_id}")
     advisor = sub.add_parser(
         "advisor", help="recommend a memory configuration for a workload"
     )
-    advisor.add_argument("workload", choices=sorted(FROM_GB))
+    advisor.add_argument("workload", choices=SIZED_WORKLOADS)
     advisor.add_argument("--size-gb", type=float, required=True)
     advisor.add_argument("--threads", type=int, default=64)
     decompose = sub.add_parser(
         "decompose", help="size a multi-node decomposition (Section IV-C)"
     )
-    decompose.add_argument("workload", choices=sorted(FROM_GB))
+    decompose.add_argument("workload", choices=SIZED_WORKLOADS)
     decompose.add_argument("--total-gb", type=float, required=True)
     decompose.add_argument(
         "--nodes", type=int, nargs="+", default=[2, 4, 8, 12, 16]
@@ -127,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     energy = sub.add_parser(
         "energy", help="time/energy/EDP comparison across configurations"
     )
-    energy.add_argument("workload", choices=sorted(FROM_GB))
+    energy.add_argument("workload", choices=SIZED_WORKLOADS)
     energy.add_argument("--size-gb", type=float, required=True)
     energy.add_argument("--threads", type=int, default=64)
     optimize = sub.add_parser(
@@ -249,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     warmup.add_argument(
         "--machines",
         nargs="+",
-        choices=list(registry.names()),
+        choices=MACHINE_NAMES,
         default=None,
         metavar="KEY",
         help="machines to prewarm (default: every registered machine)",
@@ -284,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--machine",
-        choices=list(registry.names()),
+        choices=MACHINE_NAMES,
         default="knl7210",
         help="machine preset answering the queries (default: knl7210)",
     )
@@ -352,8 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="before accepting traffic, prewarm the shared model-table "
         "cache for every registered machine (requires a table cache "
         "directory: --table-cache, --cache-dir or REPRO_TABLE_CACHE; "
-        "sharded deployments prewarm once at the router, replicas warm "
-        "from disk)",
+        "sharded deployments prewarm once in the first replica, the "
+        "later replicas warm from disk)",
     )
     serve.add_argument(
         "--table-cache",
@@ -367,6 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_mode(args: argparse.Namespace) -> "str | None":
     """The effective check mode: --check wins, REPRO_CHECK is fallback."""
+    from repro.checks.checker import check_mode_from_env
+
     if args.check is not None:
         return args.check
     return check_mode_from_env()
@@ -374,6 +385,8 @@ def _check_mode(args: argparse.Namespace) -> "str | None":
 
 def _machine(args: argparse.Namespace) -> "object":
     """Build the registry machine the global ``--machine`` flag names."""
+    from repro.machine import registry
+
     return registry.build(getattr(args, "machine", "knl7210"))
 
 
@@ -414,6 +427,9 @@ def _run_warmup(args: argparse.Namespace, *, machines=None) -> int:
 
 
 def _build_executor(args: argparse.Namespace) -> SweepExecutor:
+    from repro.core.executor import SweepExecutor
+    from repro.core.runner import ExperimentRunner
+
     return SweepExecutor(
         ExperimentRunner(_machine(args)),
         cache_dir=args.cache_dir,
@@ -486,7 +502,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _dispatch_checked(args: argparse.Namespace) -> int:
     """Dispatch, turning raise-mode violations into a clean exit 1 and
-    an exhibit too large for ``--machine`` into a one-line exit 2."""
+    an exhibit too large for ``--machine`` into a one-line exit 2.
+    ``serve`` goes first: it evaluates no exhibit, and a router loads no
+    model."""
+    if args.command == "serve":
+        return _run_serve(args)
+    from repro.checks.checker import InvariantViolation
+    from repro.machine.topology import ThreadCapacityError
+
     try:
         return _dispatch(args)
     except InvariantViolation as exc:
@@ -515,28 +538,23 @@ def _write_port_file(path: str, host: str, port: int) -> None:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    """Run the prediction service in the foreground until interrupted."""
+    """Run the prediction service in the foreground until interrupted
+    (SIGINT or SIGTERM: both drain, then exit)."""
     import asyncio
+    import signal
 
     from repro.api.errors import ValidationError
-    from repro.serve.http import HttpServer
-    from repro.serve.service import PredictionService, ServiceConfig
+    from repro.serve.config import ServiceConfig
 
     table_cache_dir = _table_cache_dir(args)
-    if args.prewarm:
-        if table_cache_dir is None:
-            print(
-                "[serve] --prewarm needs a table cache directory: pass "
-                "--table-cache DIR (or --cache-dir DIR, or set "
-                "REPRO_TABLE_CACHE)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.engine.warmup import prewarm_tables
-
-        report = prewarm_tables(table_cache_dir)
-        for line in report.describe().splitlines():
-            print(f"[serve] {line}", file=sys.stderr)
+    if args.prewarm and table_cache_dir is None:
+        print(
+            "[serve] --prewarm needs a table cache directory: pass "
+            "--table-cache DIR (or --cache-dir DIR, or set "
+            "REPRO_TABLE_CACHE)",
+            file=sys.stderr,
+        )
+        return 2
     try:
         config = ServiceConfig(
             machine=args.machine,
@@ -554,12 +572,25 @@ def _run_serve(args: argparse.Namespace) -> int:
         return 2
     if args.replicas > 1:
         return _run_serve_sharded(args, config)
+    if args.prewarm:
+        from repro.engine.warmup import prewarm_tables
+
+        report = prewarm_tables(table_cache_dir)
+        for line in report.describe().splitlines():
+            print(f"[serve] {line}", file=sys.stderr)
+    from repro.serve.http import HttpServer
+    from repro.serve.service import PredictionService
 
     async def _serve() -> None:
         service = PredictionService(config)
         server = HttpServer(service, host=args.host, port=args.port)
         await service.start()
         host, port = await server.start()
+        main_task = asyncio.current_task()
+        assert main_task is not None
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, main_task.cancel
+        )
         if args.port_file:
             _write_port_file(args.port_file, host, port)
         name = f" {config.replica_id}" if config.replica_id else ""
@@ -586,8 +617,15 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _interrupt(signum: int, frame: Any) -> None:
+    """A SIGTERM handler that stops the foreground loop as Ctrl-C does."""
+    raise KeyboardInterrupt
+
+
 def _run_serve_sharded(args: argparse.Namespace, service_config: Any) -> int:
-    """Run N service subprocesses behind the shard router (foreground)."""
+    """Run N service subprocesses behind the shard router (foreground;
+    SIGINT or SIGTERM stops the fleet)."""
+    import signal
     import time as _time
 
     from repro.api.errors import ValidationError
@@ -600,10 +638,12 @@ def _run_serve_sharded(args: argparse.Namespace, service_config: Any) -> int:
             service=service_config,
             host=args.host,
             port=args.port,
+            prewarm=args.prewarm,
         )
     except ValidationError as exc:
         print(f"[serve] {exc}", file=sys.stderr)
         return 2
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     deployment = ShardDeployment(config)
     try:
         host, port = deployment.start()
@@ -625,6 +665,7 @@ def _run_serve_sharded(args: argparse.Namespace, service_config: Any) -> int:
     finally:
         print("[serve] stopping fleet...", file=sys.stderr)
         deployment.stop()
+        signal.signal(signal.SIGTERM, previous)
         print("[serve] stopped", file=sys.stderr)
     return 0
 
@@ -756,13 +797,21 @@ def _run_plan(args: argparse.Namespace) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     command = args.command
     if command == "list":
-        for exhibit_id in EXHIBITS:
+        for exhibit_id in EXHIBIT_IDS:
             print(exhibit_id)
         return 0
     if command == "describe":
+        from repro.memory.modes import MCDRAMConfig
+        from repro.runtime.simos import SimulatedOS
+
         print(SimulatedOS(MCDRAMConfig.flat(), machine=_machine(args)).describe())
         return 0
+    from repro.workloads.registry import FROM_GB
+
     if command == "advisor":
+        from repro.core.advisor import PlacementAdvisor
+        from repro.core.runner import ExperimentRunner
+
         workload = FROM_GB[args.workload](args.size_gb)
         advisor = PlacementAdvisor(ExperimentRunner(_machine(args)))
         recommendation = advisor.recommend(workload, args.threads)
@@ -853,8 +902,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if command == "warmup":
         return _run_warmup(args)
-    if command == "serve":
-        return _run_serve(args)
     if command == "check":
         from repro.checks.batch import check_exhibits
 
@@ -868,6 +915,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(generate_report(executor).render())
         _report_stats(executor)
         return 0
+    from repro.figures import EXHIBITS, FIXED_TO_KNL
+    from repro.machine.topology import ThreadCapacityError
+
     executor = _build_executor(args)
     exhibit_ids = tuple(EXHIBITS) if command == "all" else (command,)
     for exhibit_id in exhibit_ids:

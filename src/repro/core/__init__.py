@@ -18,85 +18,39 @@ Typical use::
     ]
 """
 
-from repro.core.configs import (
-    ConfigName,
-    SystemConfig,
-    standard_configs,
-    make_config,
-)
-from repro.core.runner import ExperimentRunner, RunRecord
-from repro.core.executor import (
-    ExecutorStats,
-    RunCache,
-    SweepCell,
-    SweepExecutor,
-    as_executor,
-    cache_key,
-    executor_from_env,
-)
-from repro.core.results import ResultSet, Series
-from repro.core.sweep import resolve_configs, size_sweep, thread_sweep
-from repro.core.metrics import Metric, improvement, harmonic_mean
-from repro.core.advisor import PlacementAdvisor, Recommendation
-from repro.core.decomposition import (
-    NodeCount,
-    decompose,
-    hbm_knee,
-    parallel_efficiency,
-    sweep_node_counts,
-)
-from repro.core.guidelines import GUIDELINES, Guideline, applicable_guidelines
-from repro.core.placement_optimizer import (
-    OptimizedPlacement,
-    PlacementOptimizer,
-    Structure,
-    structures_for,
-)
-from repro.core.sensitivity import (
-    ConclusionCheck,
-    SensitivityAnalysis,
-    default_perturbations,
-    paper_conclusions,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConfigName",
-    "SystemConfig",
-    "standard_configs",
-    "make_config",
-    "ExperimentRunner",
-    "RunRecord",
-    "ExecutorStats",
-    "RunCache",
-    "SweepCell",
-    "SweepExecutor",
-    "as_executor",
-    "cache_key",
-    "executor_from_env",
-    "ResultSet",
-    "Series",
-    "resolve_configs",
-    "size_sweep",
-    "thread_sweep",
-    "Metric",
-    "improvement",
-    "harmonic_mean",
-    "PlacementAdvisor",
-    "Recommendation",
-    "NodeCount",
-    "decompose",
-    "hbm_knee",
-    "parallel_efficiency",
-    "sweep_node_counts",
-    "GUIDELINES",
-    "Guideline",
-    "applicable_guidelines",
-    "OptimizedPlacement",
-    "PlacementOptimizer",
-    "Structure",
-    "structures_for",
-    "ConclusionCheck",
-    "SensitivityAnalysis",
-    "default_perturbations",
-    "paper_conclusions",
-]
+#: Submodule -> the public names it defines, resolved on first access
+#: (:mod:`repro._lazy`), so that importing one submodule, say
+#: ``repro.core.configs``, does not import the executor — and with it the
+#: engine and the checks, which import ``repro.core`` submodules back.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "configs": (
+            "ConfigName", "SystemConfig", "standard_configs", "make_config",
+        ),
+        "runner": ("ExperimentRunner", "RunRecord"),
+        "executor": (
+            "ExecutorStats", "RunCache", "SweepCell", "SweepExecutor",
+            "as_executor", "cache_key", "executor_from_env",
+        ),
+        "results": ("ResultSet", "Series"),
+        "sweep": ("resolve_configs", "size_sweep", "thread_sweep"),
+        "metrics": ("Metric", "improvement", "harmonic_mean"),
+        "advisor": ("PlacementAdvisor", "Recommendation"),
+        "decomposition": (
+            "NodeCount", "decompose", "hbm_knee", "parallel_efficiency",
+            "sweep_node_counts",
+        ),
+        "guidelines": ("GUIDELINES", "Guideline", "applicable_guidelines"),
+        "placement_optimizer": (
+            "OptimizedPlacement", "PlacementOptimizer", "Structure",
+            "structures_for",
+        ),
+        "sensitivity": (
+            "ConclusionCheck", "SensitivityAnalysis", "default_perturbations",
+            "paper_conclusions",
+        ),
+    },
+)

@@ -2,10 +2,12 @@
 
 The package splits along the request path:
 
-* :mod:`repro.serve.cache` — TTL+LRU result cache keyed by the
-  content-addressed run key;
+* :mod:`repro.serve.cache` — TTL+LRU result cache (the service keys it
+  by the canonical wire :class:`~repro.api.types.Query`);
 * :mod:`repro.serve.coalescer` — admission queue + dispatchers that
   merge concurrent queries into dense batches;
+* :mod:`repro.serve.config` — :class:`ServiceConfig`, the service's
+  knobs (model-free, so the router can carry it);
 * :mod:`repro.serve.service` — the protocol-independent service core
   (lifecycle, deadlines, metrics, endpoints);
 * :mod:`repro.serve.http` — the zero-dependency asyncio HTTP front end;
@@ -17,8 +19,8 @@ The package splits along the request path:
 
 and, for the sharded multi-replica deployment:
 
-* :mod:`repro.serve.ring` — the consistent-hash ring over
-  content-addressed run keys;
+* :mod:`repro.serve.ring` — the consistent-hash ring over wire query
+  keys;
 * :mod:`repro.serve.registry` — replica membership + health tracking;
 * :mod:`repro.serve.shard` — the router, replica backends and
   deployment harness;
@@ -29,43 +31,27 @@ See ``docs/SERVING.md`` for the wire protocol, capacity tuning and the
 sharded-deployment design.
 """
 
-from repro.serve.cache import TTLCache
-from repro.serve.client import ServeClient
-from repro.serve.coalescer import Coalescer
-from repro.serve.faults import FaultError, FaultInjector
-from repro.serve.http import DEFAULT_PORT, HttpServer
-from repro.serve.registry import ReplicaInfo, ReplicaSet, ReplicaState
-from repro.serve.ring import DEFAULT_VNODES, HashRing, stable_point
-from repro.serve.service import PredictionService, ServiceConfig
-from repro.serve.shard import (
-    ProcessReplica,
-    ShardConfig,
-    ShardDeployment,
-    ShardRouter,
-    ThreadReplica,
-)
-from repro.serve.threadserver import ServerThread
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TTLCache",
-    "Coalescer",
-    "ServiceConfig",
-    "PredictionService",
-    "HttpServer",
-    "DEFAULT_PORT",
-    "ServeClient",
-    "ServerThread",
-    "HashRing",
-    "DEFAULT_VNODES",
-    "stable_point",
-    "ReplicaInfo",
-    "ReplicaSet",
-    "ReplicaState",
-    "FaultError",
-    "FaultInjector",
-    "ShardConfig",
-    "ShardRouter",
-    "ShardDeployment",
-    "ThreadReplica",
-    "ProcessReplica",
-]
+#: Submodule -> the public names it defines.  Resolved on first access
+#: (:mod:`repro._lazy`): the router imports none of the service's model
+#: code by importing this package.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "cache": ("TTLCache",),
+        "coalescer": ("Coalescer",),
+        "config": ("ServiceConfig",),
+        "service": ("PredictionService",),
+        "http": ("HttpServer", "DEFAULT_PORT"),
+        "client": ("ServeClient",),
+        "threadserver": ("ServerThread",),
+        "ring": ("HashRing", "DEFAULT_VNODES", "stable_point", "query_key"),
+        "registry": ("ReplicaInfo", "ReplicaSet", "ReplicaState"),
+        "faults": ("FaultError", "FaultInjector"),
+        "shard": (
+            "ShardConfig", "ShardRouter", "ShardDeployment", "ThreadReplica",
+            "ProcessReplica",
+        ),
+    },
+)

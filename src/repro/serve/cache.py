@@ -1,8 +1,8 @@
 """TTL + LRU result cache for the prediction service.
 
-Keys are the PR-1 content-addressed run keys
-(:func:`repro.core.executor.cache_key` via
-:meth:`repro.api.facade.Predictor.cache_key`), so an entry is valid for
+The service keys it by the canonical wire
+:class:`~repro.api.types.Query` itself (frozen and hashable: two
+spellings of one question compare equal), so an entry is valid for
 exactly as long as the model is deterministic — forever — and the TTL
 exists purely to bound staleness against *code* changes in a long-lived
 process and to keep the working set honest.  Values are whole
@@ -19,6 +19,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Hashable
 from typing import Any, Callable, Generic, TypeVar
 
 V = TypeVar("V")
@@ -49,7 +50,7 @@ class TTLCache(Generic[V]):
         self.ttl_s = ttl_s
         self._clock = clock
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, tuple[float | None, V]] = OrderedDict()
+        self._entries: OrderedDict[Hashable, tuple[float | None, V]] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.expirations = 0
@@ -68,7 +69,7 @@ class TTLCache(Generic[V]):
         lookups = self.lookups
         return self.hits / lookups if lookups else 0.0
 
-    def get(self, key: str) -> V | None:
+    def get(self, key: Hashable) -> V | None:
         """The live entry for ``key``, refreshing its recency; ``None``
         on miss or expiry."""
         with self._lock:
@@ -86,7 +87,7 @@ class TTLCache(Generic[V]):
             self.hits += 1
             return value
 
-    def put(self, key: str, value: V) -> None:
+    def put(self, key: Hashable, value: V) -> None:
         if self.max_entries == 0:
             return
         expires_at = None if self.ttl_s is None else self._clock() + self.ttl_s

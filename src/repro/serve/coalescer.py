@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -40,7 +41,6 @@ class _Pending:
     """One queued query and the future its requests await."""
 
     query: Query
-    key: str
     future: "asyncio.Future[PredictionResult]" = field(repr=False, kw_only=True)
 
 
@@ -146,9 +146,12 @@ class Coalescer:
         self._queue.clear()
 
     # -- admission ------------------------------------------------------------
-    def submit(self, query: Query, key: str) -> "asyncio.Future[PredictionResult]":
+    def submit(
+        self, query: Query, key: Hashable
+    ) -> "asyncio.Future[PredictionResult]":
         """Enqueue one query; the returned future resolves when its batch
-        has been evaluated.
+        has been evaluated.  ``key`` is the query's wire key (the service
+        passes the query itself); the coalescer does not read it.
 
         Raises :class:`~repro.api.errors.CapacityError` when the queue
         is full or the coalescer is shutting down.
@@ -167,7 +170,7 @@ class Coalescer:
         future: "asyncio.Future[PredictionResult]" = (
             asyncio.get_running_loop().create_future()
         )
-        self._queue.append(_Pending(query, key, future=future))
+        self._queue.append(_Pending(query, future=future))
         self.submitted += 1
         if self.metrics is not None:
             self.metrics.set_gauge("serve.queue_depth", float(len(self._queue)))

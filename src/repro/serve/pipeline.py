@@ -12,13 +12,17 @@ from its own worker pool) and :class:`~repro.serve.shard.ShardRouter`
 3. admission — a request expanding past ``max_request_queries``
    queries (or plan candidates) is refused with a 429, and only a
    ``running`` front end accepts work;
-4. per-query content-addressed keying, which validates each query
-   (the service keys its result cache with them, the router its ring);
-5. the back half, which is all a subclass supplies:
+4. the back half, which is all a subclass supplies:
    :meth:`RequestPipeline._answer` answers the queries and says how many
    came from a result cache, and :meth:`RequestPipeline._solve_plan`
-   solves one plan;
-6. answers are returned in submission order inside the versioned
+   solves one plan.  Each keys a query once, by its canonical wire value
+   (the parsed :class:`~repro.api.types.Query` is already canonical):
+   the service validates every query against the model, in submission
+   order, before it evaluates any, and keys its result cache by the
+   query itself; the router validates nothing past the wire and keys its
+   ring by :func:`~repro.serve.ring.query_key`, so semantic errors come
+   back from the owners;
+5. answers are returned in submission order inside the versioned
    success envelope.
 
 Metric names carry each front end's prefix (``serve.*`` on the service,
@@ -30,17 +34,14 @@ from __future__ import annotations
 import asyncio
 import time
 from collections.abc import Awaitable, Iterable, Mapping, Sequence
-from typing import TYPE_CHECKING, Any, TypeVar
+from typing import Any, TypeVar
 
 from repro.api.envelope import plan_envelope_bytes, success_envelope
 from repro.api.errors import CapacityError, DeadlineExceededError, ValidationError
-from repro.api.facade import Predictor
 from repro.api.plan import PlanRequest, PlanResult
 from repro.api.types import PredictionResult, Query, QueryGrid, check_schema_version
 from repro.obs.metrics import MetricsRegistry
-
-if TYPE_CHECKING:
-    from repro.serve.service import ServiceConfig
+from repro.serve.config import ServiceConfig
 
 __all__ = ["RequestPipeline", "sum_counters"]
 
@@ -76,11 +77,8 @@ class RequestPipeline:
     #: Histogram of whole ``/v1/plan`` handling time (``None``: none).
     _plan_histogram: str | None = "serve.plan_ms"
 
-    def __init__(self, service: "ServiceConfig") -> None:
+    def __init__(self, service: ServiceConfig) -> None:
         self.metrics = MetricsRegistry()
-        # Resolution/keying only — never evaluates, so event-loop-only use
-        # is safe alongside any evaluating predictors.
-        self._resolver = Predictor(machine=service.machine)
         self._service_config = service
         self._state = "created"
         self._started_monotonic: float | None = None
@@ -190,9 +188,7 @@ class RequestPipeline:
         queries = self.parse_queries(payload)
         deadline_s = self._deadline_s(payload)
         self._admit(len(queries), "request", "queries")
-        # Content-addressed run keys, which also validate each query.
-        keys = [self._resolver.cache_key(q) for q in queries]
-        results, cached = await self._answer(queries, keys, deadline_s)
+        results, cached = await self._answer(queries, deadline_s)
         self.metrics.add(f"{self._prefix}.queries", float(len(queries)))
         elapsed_ms = (time.perf_counter() - started) * 1e3
         return success_envelope(
@@ -206,10 +202,11 @@ class RequestPipeline:
         )
 
     async def _answer(
-        self, queries: list[Query], keys: list[str], deadline_s: float
+        self, queries: list[Query], deadline_s: float
     ) -> tuple[Sequence[PredictionResult], int]:
         """The queries' answers, in order, within ``deadline_s``, and how
-        many of them came from a result cache."""
+        many of them came from a result cache.  An invalid query raises
+        the typed error of the first invalid one in submission order."""
         raise NotImplementedError
 
     # -- /v1/plan -----------------------------------------------------------------

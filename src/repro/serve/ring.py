@@ -1,10 +1,12 @@
-"""Consistent-hash ring routing content-addressed run keys to replicas.
+"""Consistent-hash ring routing wire query keys to replicas.
 
 The sharded deployment (:mod:`repro.serve.shard`) places every query on
-a replica by its **content-addressed run key** (the same PR-1 key the
-result caches use), so a key always lands on the same replica while
-that replica is alive — which turns each replica's private TTL result
-cache into one slice of a fleet-wide cache with no coordination at all.
+a replica by its **wire key** (:func:`query_key`, a string of the
+canonical :class:`~repro.api.types.Query` fields), so a query always
+lands on the same replica while that replica is alive — which turns
+each replica's private TTL result cache (keyed by the same query) into
+one slice of a fleet-wide cache with no coordination at all.  The key
+needs no model: the router computes it without resolving the query.
 
 Design constraints, each load-bearing:
 
@@ -31,8 +33,12 @@ from __future__ import annotations
 import bisect
 import hashlib
 from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
-__all__ = ["HashRing", "DEFAULT_VNODES", "stable_point"]
+if TYPE_CHECKING:
+    from repro.api.types import Query
+
+__all__ = ["HashRing", "DEFAULT_VNODES", "stable_point", "query_key"]
 
 #: Virtual nodes per replica.  64 keeps the largest/smallest keyspace
 #: share within ~2x of each other for small fleets, at a few KiB of ring.
@@ -50,6 +56,15 @@ def stable_point(data: str) -> int:
     """
     digest = hashlib.sha256(data.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def query_key(query: "Query") -> str:
+    """The ring key of one wire query: its canonical fields joined by
+    ``|`` (the size as its ``repr``, which round-trips the float)."""
+    return (
+        f"{query.workload}|{query.size_gb!r}|{query.config}|"
+        f"{query.num_threads}|{query.machine}"
+    )
 
 
 class HashRing:

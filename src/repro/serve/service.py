@@ -2,13 +2,17 @@
 
 :class:`PredictionService` is the protocol-independent core behind the
 HTTP layer (:mod:`repro.serve.http`).  The request front half — parsing,
-deadlines, admission, keying and the envelopes — is the shared
+deadlines, admission and the envelopes — is the shared
 :class:`~repro.serve.pipeline.RequestPipeline`; this class supplies the
 back half:
 
-* each query is looked up in the TTL result cache, and the misses go to
-  the coalescer under the per-request deadline, whose expiry cancels
-  still-queued work;
+* every query is resolved against the model, in submission order, so
+  the first invalid one raises its typed error before anything
+  evaluates;
+* each query is looked up in the TTL result cache, keyed by the query
+  itself, and the misses go to the coalescer under the per-request
+  deadline, whose expiry cancels still-queued work (the executor keys
+  each miss's run once, for the content-addressed run cache);
 * a ``/v1/plan`` solve runs on a pool thread through that thread's
   :class:`~repro.plan.planner.CapacityPlanner`.
 
@@ -26,76 +30,21 @@ import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict
 from typing import Any, Callable
 
 import repro
 from repro.api.envelope import success_envelope
-from repro.api.errors import ValidationError
 from repro.api.facade import Predictor
 from repro.api.plan import PlanRequest, PlanResult
-from repro.api.types import MACHINE_NAMES, PredictionResult, Query
+from repro.api.types import PredictionResult, Query
 from repro.plan.planner import CapacityPlanner
 from repro.serve.cache import TTLCache
 from repro.serve.coalescer import Coalescer
+from repro.serve.config import ServiceConfig
 from repro.serve.pipeline import RequestPipeline, sum_counters
 
 __all__ = ["ServiceConfig", "PredictionService"]
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Capacity and behaviour knobs of one service instance.
-
-    The defaults suit an interactive what-if service; ``docs/SERVING.md``
-    discusses how to tune them.
-    """
-
-    machine: str = "knl7210"
-    #: Identity of this instance inside a sharded deployment
-    #: (:mod:`repro.serve.shard`); surfaces on ``/healthz`` and
-    #: ``/version`` so operators can tell replicas apart.  Empty for a
-    #: standalone service.
-    replica_id: str = ""
-    #: Directory of the persistent ModelTables cache
-    #: (:mod:`repro.engine.table_cache`).  When set, every worker
-    #: predictor loads prebuilt tables on first touch, so a restarted
-    #: service answers its first queries at steady-state speed instead of
-    #: paying table construction (docs/SERVING.md, "warm starts").
-    table_cache_dir: str | None = None
-    max_batch: int = 256
-    max_queue: int = 1024
-    workers: int = 2
-    cache_entries: int = 4096
-    cache_ttl_s: float | None = 300.0
-    default_deadline_s: float = 10.0
-    max_request_queries: int = 4096
-    drain_timeout_s: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.machine.lower() not in MACHINE_NAMES:
-            raise ValidationError(
-                f"unknown machine {self.machine!r}; expected one of "
-                f"{', '.join(MACHINE_NAMES)}"
-            )
-        for name in ("max_batch", "max_queue", "workers", "max_request_queries"):
-            if getattr(self, name) < 1:
-                raise ValidationError(
-                    f"{name} must be >= 1, got {getattr(self, name)}"
-                )
-        if self.cache_entries < 0:
-            raise ValidationError(
-                f"cache_entries must be >= 0, got {self.cache_entries}"
-            )
-        if self.cache_ttl_s is not None and self.cache_ttl_s <= 0:
-            raise ValidationError(
-                f"cache_ttl_s must be positive or None, got {self.cache_ttl_s}"
-            )
-        if self.default_deadline_s <= 0:
-            raise ValidationError(
-                f"default_deadline_s must be positive, got "
-                f"{self.default_deadline_s}"
-            )
 
 
 class PredictionService(RequestPipeline):
@@ -104,6 +53,9 @@ class PredictionService(RequestPipeline):
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config if config is not None else ServiceConfig()
         super().__init__(self.config)
+        # Resolution only — never evaluates, so event-loop-only use is
+        # safe alongside the evaluating worker predictors.
+        self._resolver = Predictor(machine=self.config.machine)
         self.cache: TTLCache[PredictionResult] = TTLCache(
             self.config.cache_entries, self.config.cache_ttl_s
         )
@@ -195,29 +147,30 @@ class PredictionService(RequestPipeline):
 
     # -- the back half (event loop) -------------------------------------------
     async def _answer(
-        self, queries: list[Query], keys: list[str], deadline_s: float
+        self, queries: list[Query], deadline_s: float
     ) -> tuple[list[PredictionResult], int]:
-        """Hits from the TTL result cache, misses through the coalescer
-        (**each** query counts one hit or miss)."""
+        """Validate every query in submission order before evaluating
+        any, then answer hits from the TTL result cache (keyed by the
+        query itself) and misses through the coalescer (**each** query
+        counts one hit or miss)."""
+        for query in queries:
+            self._resolver.resolve(query)
         results: list[PredictionResult | None] = [None] * len(queries)
         misses: list[int] = []
-        for i, key in enumerate(keys):
-            cached = self.cache.get(key)
+        for i, query in enumerate(queries):
+            cached = self.cache.get(query)
             if cached is None:
                 misses.append(i)
-                continue
-            # The key addresses the run, and sizes that quantize to one
-            # run share it: answer with the query that was asked.
-            query = queries[i]
-            if cached.query != query:
-                cached = replace(cached, query=query)
-            results[i] = cached
+            else:
+                results[i] = cached
         hits = len(queries) - len(misses)
         self.metrics.add("serve.cache_hits", float(hits))
         self.metrics.add("serve.cache_misses", float(len(misses)))
         if misses:
             assert self._coalescer is not None
-            futures = [self._coalescer.submit(queries[i], keys[i]) for i in misses]
+            futures = [
+                self._coalescer.submit(queries[i], queries[i]) for i in misses
+            ]
             pending = f"{len(futures)} queries pending"
             # The single-query request is the hot path: skip the gather layer.
             if len(futures) == 1:
@@ -230,7 +183,7 @@ class PredictionService(RequestPipeline):
                 )
             for i, result in zip(misses, computed):
                 results[i] = result
-                self.cache.put(keys[i], result)
+                self.cache.put(queries[i], result)
         self.metrics.set_gauge("serve.cache_hit_rate", self.cache.hit_rate)
         return results, hits  # type: ignore[return-value]
 

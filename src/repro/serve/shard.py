@@ -3,32 +3,43 @@
 One :class:`ShardDeployment` runs N independent
 :class:`~repro.serve.service.PredictionService` replicas behind a
 :class:`ShardRouter` that places every query on a replica by its
-**content-addressed run key** over a consistent-hash ring
-(:mod:`repro.serve.ring`).  Key affinity is the whole design: a key
+**wire key** (:func:`~repro.serve.ring.query_key`, the canonical
+:class:`~repro.api.types.Query` fields) over a consistent-hash ring
+(:mod:`repro.serve.ring`).  Key affinity is the whole design: a query
 always lands on the same replica while that replica is healthy, so each
 replica's private TTL result cache becomes one shard of a fleet-wide
 cache with no cross-replica coordination, and the replicas additionally
 share one persistent ModelTables directory
 (:mod:`repro.engine.table_cache`) so the first replica to build a
-machine's tables warms every other replica's cold start.
+machine's tables warms every other replica's cold start (with
+``prewarm``, the first replica fills it before the others boot).
 
 The data plane is :class:`ShardRouter`, a single HTTP entry point
 speaking the exact ``repro.serve`` wire protocol.  It is the service's
 request pipeline (:class:`~repro.serve.pipeline.RequestPipeline`:
-parsing, deadlines, admission, keying, envelopes) with a forwarding
-back half: each request's queries are split into per-owner groups and
-forwarded concurrently on a thread pool, a plan goes whole to the owner
-of its canonical key.  The router keeps no result cache of its own: the
+parsing, deadlines, admission, envelopes) with a forwarding back half:
+each request's queries are split into per-owner groups and forwarded
+concurrently on a thread pool, a plan goes whole to the owner of its
+canonical key.  The router keeps no result cache of its own: the
 owners' caches answer repeats, and the router reports the sum of their
 ``meta.cached``.
+
+The router holds no model.  It validates only what the wire defines
+(schema, query fields, admission, deadline); a query the model rejects
+— an unknown workload, a size its constructor refuses, more threads
+than the machine holds — comes back from its owner as the typed error a
+standalone service raises.  When a request spans several owners, the
+router answers such an error by sending the whole request to the owner
+of its first query, which validates every query in submission order
+before evaluating any: the caller sees exactly the standalone error.
 
 The router fails over through one loop, :func:`failover`, along the
 ring's preference order.  Its semantics (proved by
 ``tests/serve/test_faults.py``):
 
 * deterministic request errors (validation, unknown workload,
-  deadline, the planning taxonomy) are **never** retried — they are
-  properties of the request, not the replica;
+  deadline, the planning taxonomy) are **never** retried on another
+  replica — they are properties of the request, not the replica;
 * transport failures, poisoned answers and malformed answers fail over
   to the next ring preference and charge the replica's health streak
   (:class:`~repro.serve.registry.ReplicaSet`);
@@ -44,7 +55,8 @@ Replica backends: ``thread`` (a :class:`~repro.serve.threadserver.ServerThread`
 per replica in this process — what the tests and the fault harness use,
 since a :class:`~repro.serve.faults.FaultInjector` can reach in-process
 hooks) and ``process`` (one ``repro serve`` subprocess per replica —
-what ``repro serve --replicas N`` runs; kill is a real SIGKILL).
+what ``repro serve --replicas N`` runs; kill is a real SIGKILL).  Only
+the thread backend imports the service, and with it the model.
 """
 
 from __future__ import annotations
@@ -77,11 +89,11 @@ from repro.api.plan import PlanRequest, PlanResult
 from repro.api.types import PredictionResult, Query
 from repro.obs.metrics import MetricsRegistry, merge_exports
 from repro.serve.client import ServeClient
+from repro.serve.config import ServiceConfig
 from repro.serve.faults import FaultInjector
 from repro.serve.registry import ReplicaSet
 from repro.serve.pipeline import RequestPipeline, sum_counters
-from repro.serve.ring import HashRing
-from repro.serve.service import PredictionService, ServiceConfig
+from repro.serve.ring import HashRing, query_key
 from repro.serve.threadserver import ServerThread
 
 __all__ = [
@@ -104,6 +116,11 @@ _FATAL_ERRORS = (
     # infeasible plan): deterministic functions of the spec.
     PlanError,
 )
+
+#: Errors an owner raises for a query the model rejects.  Owners see
+#: only their group, so the router re-asks one owner for the whole
+#: request to report the first such query in submission order.
+_QUERY_ERRORS = (ValidationError, UnknownWorkloadError, InfeasibleConfigError)
 
 #: What tearing down a router thread or a replica can raise: a loop
 #: that is already gone, a process that will not die in time.
@@ -142,6 +159,10 @@ class ShardConfig:
     #: Per-attempt time budget; ``None`` spends the full remaining
     #: request deadline on the first replica (no failover on stalls).
     attempt_timeout_s: float | None = None
+    #: Prewarm the shared table cache (:mod:`repro.engine.warmup`) in
+    #: the first replica, before the later replicas boot and warm from
+    #: it; the router itself never loads the model.
+    prewarm: bool = False
 
     def __post_init__(self) -> None:
         if self.backend not in ("thread", "process"):
@@ -418,39 +439,77 @@ class ShardRouter(RequestPipeline):
         return ring
 
     # -- the back half (event loop) -------------------------------------------
-    async def _answer(
-        self, queries: list[Query], keys: list[str], deadline_s: float
-    ) -> tuple[list[PredictionResult], int]:
-        """Group queries by ring owner, forward the groups concurrently,
-        scatter the answers back into submission order; the cached count
-        is the sum of the owners' counts."""
-        ring = self._routable_ring()
-        groups: dict[str, list[int]] = {}
-        for index, key in enumerate(keys):
-            groups.setdefault(ring.assign(key), []).append(index)
-        deadline_at = time.monotonic() + deadline_s
-        loop = asyncio.get_running_loop()
-        forwards = [
-            loop.run_in_executor(
-                self._pool,
-                self._forward,
-                ring.preferences(keys[indices[0]], self.config.max_attempts),
-                _predict_counting_cached,
-                [queries[i] for i in indices],
-                deadline_at,
-            )
-            for indices in groups.values()
-        ]
-        answered = await self._within_deadline(
-            asyncio.gather(*forwards),
-            deadline_s,
-            f"{len(queries)} queries pending",
+    def _forward_queries(
+        self, preferences: list[str], queries: list[Query], deadline_at: float
+    ) -> "asyncio.Future[tuple[list[PredictionResult], int]]":
+        """One group's forward, on the pool."""
+        return asyncio.get_running_loop().run_in_executor(
+            self._pool,
+            self._forward,
+            preferences,
+            _predict_counting_cached,
+            queries,
+            deadline_at,
         )
+
+    async def _answer(
+        self, queries: list[Query], deadline_s: float
+    ) -> tuple[list[PredictionResult], int]:
+        """Group queries by the ring owner of their wire key, forward the
+        groups concurrently, scatter the answers back into submission
+        order; the cached count is the sum of the owners' counts."""
+        ring = self._routable_ring()
+        groups: dict[str, tuple[list[str], list[int]]] = {}
+        for index, query in enumerate(queries):
+            preferences = ring.preferences(
+                query_key(query), self.config.max_attempts
+            )
+            group = groups.setdefault(preferences[0], (preferences, []))
+            group[1].append(index)
+        deadline_at = time.monotonic() + deadline_s
+        if len(groups) == 1:
+            ((preferences, _),) = groups.values()
+            forwarded = self._forward_queries(preferences, queries, deadline_at)
+        else:
+            forwarded = self._forward_groups(
+                queries, list(groups.values()), deadline_at
+            )
+        return await self._within_deadline(
+            forwarded, deadline_s, f"{len(queries)} queries pending"
+        )
+
+    async def _forward_groups(
+        self,
+        queries: list[Query],
+        groups: list[tuple[list[str], list[int]]],
+        deadline_at: float,
+    ) -> tuple[list[PredictionResult], int]:
+        """Forward several owner groups at once (see :meth:`_answer`).
+
+        If an owner rejects a query, the first invalid query of the
+        request may sit in any group, so the whole request goes to the
+        owner of query 0 (``groups[0]``), which validates it in
+        submission order and raises exactly the standalone error."""
+        answered = await asyncio.gather(
+            *(
+                self._forward_queries(
+                    preferences, [queries[i] for i in indices], deadline_at
+                )
+                for preferences, indices in groups
+            ),
+            return_exceptions=True,
+        )
+        errors = [a for a in answered if isinstance(a, BaseException)]
+        if any(isinstance(error, _QUERY_ERRORS) for error in errors):
+            return await self._forward_queries(groups[0][0], queries, deadline_at)
+        if errors:
+            raise errors[0]
         results: list[PredictionResult | None] = [None] * len(queries)
-        for indices, (group_results, _) in zip(groups.values(), answered):
+        cached = 0
+        for (_, indices), (group_results, group_cached) in zip(groups, answered):
             for index, result in zip(indices, group_results):
                 results[index] = result
-        cached = sum(group_cached for _, group_cached in answered)
+            cached += group_cached
         return results, cached  # type: ignore[return-value]
 
     async def _solve_plan(
@@ -568,14 +627,22 @@ class ThreadReplica:
         config: ServiceConfig,
         *,
         faults: FaultInjector | None = None,
+        prewarm: bool = False,
     ) -> None:
+        from repro.serve.service import PredictionService
+
         self.replica_id = replica_id
+        self.prewarm = prewarm
         self.service = PredictionService(config)
         if faults is not None:
             self.service.fault_hook = faults.hook_for(replica_id)
         self.thread = ServerThread(service=self.service)
 
     def start(self) -> tuple[str, int]:
+        if self.prewarm:
+            from repro.engine.warmup import prewarm_tables
+
+            prewarm_tables(self.service.config.table_cache_dir)
         return self.thread.start()
 
     def stop(self, *, drain: bool = True) -> None:
@@ -590,15 +657,20 @@ class ProcessReplica:
 
     The production-shaped backend behind ``repro serve --replicas N``:
     the child binds an ephemeral port and reports it through
-    ``--port-file``; :meth:`kill` is a real ``SIGKILL``, :meth:`stop`
-    a ``SIGINT`` (the CLI's graceful drain path).
+    ``--port-file``; :meth:`kill` is a real ``SIGKILL``.  :meth:`stop`
+    sends ``SIGINT`` (the CLI's graceful drain path, as is ``SIGTERM``)
+    or, with ``drain=False``, ``SIGKILL``.  With ``prewarm`` the child
+    prewarms the shared table cache before it listens.
     """
 
     backend = "process"
 
-    def __init__(self, replica_id: str, config: ServiceConfig) -> None:
+    def __init__(
+        self, replica_id: str, config: ServiceConfig, *, prewarm: bool = False
+    ) -> None:
         self.replica_id = replica_id
         self.config = config
+        self.prewarm = prewarm
         self.proc: subprocess.Popen[bytes] | None = None
         self._port_dir: str | None = None
 
@@ -622,6 +694,8 @@ class ProcessReplica:
             "0" if cfg.cache_ttl_s is None else str(cfg.cache_ttl_s),
             "--deadline", str(cfg.default_deadline_s),
         ]
+        if self.prewarm:
+            argv.append("--prewarm")
         return argv
 
     def start(self, *, timeout_s: float = 90.0) -> tuple[str, int]:
@@ -667,13 +741,13 @@ class ProcessReplica:
         proc = self.proc
         if proc is None:
             return
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGINT if drain else signal.SIGTERM)
+        if drain and proc.poll() is None:
+            proc.send_signal(signal.SIGINT)
             try:
                 proc.wait(timeout=30.0)
             except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=10.0)
+                pass
+        self.kill()
         self._cleanup()
 
     def kill(self) -> None:
@@ -740,19 +814,25 @@ class ShardDeployment:
             )
         self._service_config = service_config
         for index in range(self.config.replicas):
-            self._boot_replica(f"r{index}")
+            self._boot_replica(
+                f"r{index}", prewarm=self.config.prewarm and index == 0
+            )
         return self._router_thread.start()
 
-    def _boot_replica(self, replica_id: str) -> None:
+    def _boot_replica(self, replica_id: str, *, prewarm: bool = False) -> None:
         assert self._service_config is not None
         config = replace(self._service_config, replica_id=replica_id)
         handle: ThreadReplica | ProcessReplica
         if self.config.backend == "thread":
-            handle = ThreadReplica(replica_id, config, faults=self.faults)
+            handle = ThreadReplica(
+                replica_id, config, faults=self.faults, prewarm=prewarm
+            )
         else:
-            handle = ProcessReplica(replica_id, config)
-        host, port = handle.start()
+            handle = ProcessReplica(replica_id, config, prewarm=prewarm)
+        # Tracked before it boots, so stop() also ends a replica whose
+        # boot was interrupted.
         self._handles[replica_id] = handle
+        host, port = handle.start()
         self.replicas.register(replica_id, host, port)
 
     def stop(self) -> None:

@@ -12,8 +12,8 @@ import asyncio
 import threading
 from typing import Any
 
+from repro.serve.config import ServiceConfig
 from repro.serve.http import HttpServer
-from repro.serve.service import PredictionService, ServiceConfig
 
 __all__ = ["ServerThread"]
 
@@ -36,9 +36,11 @@ class ServerThread:
         # (:mod:`repro.serve.shard`) rides the same harness.
         if service is not None and config is not None:
             raise ValueError("pass either a config or a prebuilt service")
-        self.service = (
-            service if service is not None else PredictionService(config)
-        )
+        if service is None:
+            from repro.serve.service import PredictionService
+
+            service = PredictionService(config)
+        self.service = service
         self.server = HttpServer(self.service, host=host, port=port)
         self.startup_timeout_s = startup_timeout_s
         self._loop: asyncio.AbstractEventLoop | None = None

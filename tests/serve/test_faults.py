@@ -24,6 +24,7 @@ from repro.api.errors import (
 from repro.api.types import Query
 from repro.serve.client import ServeClient
 from repro.serve.faults import FaultInjector
+from repro.serve.ring import query_key
 from repro.serve.service import ServiceConfig
 from repro.serve.shard import ShardConfig, ShardDeployment
 
@@ -56,8 +57,8 @@ def _deployment(
     return ShardDeployment(ShardConfig(**settings), faults=faults)
 
 
-def _owner_of(deployment: ShardDeployment, oracle: Predictor, query: Query) -> str:
-    return deployment.replicas.ring().assign(oracle.cache_key(query))
+def _owner_of(deployment: ShardDeployment, query: Query) -> str:
+    return deployment.replicas.ring().assign(query_key(query))
 
 
 def test_fault_injection_requires_thread_backend():
@@ -79,7 +80,7 @@ def test_stalled_replica_fails_over_within_attempt_budget(oracle):
     try:
         host, port = deployment.start()
         query = _queries()[0]
-        victim = _owner_of(deployment, oracle, query)
+        victim = _owner_of(deployment, query)
         faults.stall(victim)
         with ServeClient(host, port, timeout=30.0) as client:
             started = time.monotonic()
@@ -101,7 +102,7 @@ def test_stalled_replica_honors_the_request_deadline(oracle):
     try:
         host, port = deployment.start()
         query = _queries()[0]
-        faults.stall(_owner_of(deployment, oracle, query))
+        faults.stall(_owner_of(deployment, query))
         with ServeClient(host, port, timeout=30.0) as client:
             started = time.monotonic()
             with pytest.raises(DeadlineExceededError):
@@ -121,7 +122,7 @@ def test_poisoned_replica_fails_over_and_is_quarantined(oracle):
     try:
         host, port = deployment.start()
         query = _queries()[1]
-        victim = _owner_of(deployment, oracle, query)
+        victim = _owner_of(deployment, query)
         faults.fail(victim)
         with ServeClient(host, port, timeout=30.0) as client:
             assert client.predict(query) == oracle.predict(query)
@@ -142,7 +143,7 @@ def test_slow_replica_stays_up_and_correct(oracle):
     try:
         host, port = deployment.start()
         query = _queries()[2]
-        victim = _owner_of(deployment, oracle, query)
+        victim = _owner_of(deployment, query)
         faults.slow(victim, 0.3)
         with ServeClient(host, port, timeout=30.0) as client:
             result = client.predict(query, deadline_s=20.0)
@@ -160,10 +161,10 @@ def test_drain_is_graceful_and_leaves_the_ring(oracle):
     try:
         host, port = deployment.start()
         queries = _queries()
-        victim = _owner_of(deployment, oracle, queries[0])
+        victim = _owner_of(deployment, queries[0])
         owned = [
             q for q in queries
-            if _owner_of(deployment, oracle, q) == victim
+            if _owner_of(deployment, q) == victim
         ]
         faults.slow(victim, 0.4)  # keep one request in flight mid-drain
         outcome: list[object] = []
@@ -204,7 +205,7 @@ def test_kill_under_load_never_hangs_or_corrupts(oracle):
         expected = {
             oracle.cache_key(q): oracle.predict(q) for q in queries
         }
-        victim = _owner_of(deployment, oracle, queries[0])
+        victim = _owner_of(deployment, queries[0])
         clients = 6
         rounds = 4
         barrier = threading.Barrier(clients + 1)
@@ -229,7 +230,12 @@ def test_kill_under_load_never_hangs_or_corrupts(oracle):
         for thread in threads:
             thread.start()
         barrier.wait()
-        time.sleep(0.1)  # load is in flight
+        # Kill with the load in flight: once a client has finished its
+        # first round, it still has rounds left that ask the victim.
+        started = time.monotonic()
+        while not any(len(bucket) >= len(queries) for bucket in outcomes):
+            assert time.monotonic() - started < 60.0, "load never started"
+            time.sleep(0.001)
         deployment.kill_replica(victim)
         for thread in threads:
             thread.join(timeout=180)
@@ -292,11 +298,11 @@ def test_capacity_spill_keeps_overloaded_replica_healthy(oracle):
     try:
         host, port = deployment.start()
         queries = _queries()
-        victim = _owner_of(deployment, oracle, queries[0])
+        victim = _owner_of(deployment, queries[0])
         faults.slow(victim, 0.5)  # wedge the queue so extra load spills
         owned = [
             q for q in queries
-            if _owner_of(deployment, oracle, q) == victim
+            if _owner_of(deployment, q) == victim
         ]
         results: list[object] = []
 
@@ -346,7 +352,7 @@ def test_malformed_replica_answer_fails_over(oracle, damage):
     try:
         host, port = deployment.start()
         query = _queries()[0]
-        victim = _owner_of(deployment, oracle, query)
+        victim = _owner_of(deployment, query)
         service = deployment.handle(victim).service
         honest = service.handle_predict
 

@@ -16,14 +16,17 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.serve.ring import DEFAULT_VNODES, HashRing, stable_point
+from repro.api.types import PAPER_TRIO, Query
+from repro.serve.ring import DEFAULT_VNODES, HashRing, query_key, stable_point
 
 pytestmark = pytest.mark.tier1
 
@@ -192,3 +195,38 @@ def test_assignment_is_stable_across_hash_seeds():
     }
     for seed in ("0", "1", "12345"):
         assert _ring_in_subprocess(spec, seed) == expected, seed
+
+
+def test_fresh_servebench_queries_split_evenly_over_two_replicas():
+    """Wire keys balance like run keys did: 1,000 distinct point queries
+    drawn as servebench's ``point-miss-routed`` draws them land 40-60%
+    on each owner of a 2-replica ring."""
+    rng = random.Random(911)
+    ring = HashRing(["r0", "r1"])
+    seen: set[Query] = set()
+    owners: Counter[str] = Counter()
+    while len(seen) < 1000:
+        query = Query(
+            rng.choice(("dgemm", "minife", "xsbench")),
+            round(rng.uniform(0.5, 24.0), 3),
+            rng.choice(PAPER_TRIO),
+            rng.choice((32, 64)),
+            rng.choice(("knl7210", "xeonmax9480")),
+        )
+        if query not in seen:
+            seen.add(query)
+            owners[ring.assign(query_key(query))] += 1
+    assert all(400 <= owners[replica] <= 600 for replica in ("r0", "r1")), owners
+
+
+def test_query_key_is_a_function_of_the_canonical_query():
+    spellings = [
+        Query("GUPS", 4, "cache", 64, "KNL7210"),
+        Query("gups", 4.0, "Cache Mode"),
+    ]
+    assert spellings[0] == spellings[1]
+    assert query_key(spellings[0]) == query_key(spellings[1])
+    assert query_key(spellings[0]) == "gups|4.0|Cache Mode|64|knl7210"
+    assert query_key(Query("gups", 4.000001, "Cache Mode")) != query_key(
+        spellings[0]
+    )

@@ -169,22 +169,25 @@ class TestCoalescingIdentity:
         assert second["meta"]["cached"] == 1
         assert first["results"] == second["results"]
 
-    def test_cache_hit_echoes_the_query_that_was_asked(self):
-        # 3.0 and 3.5 GB quantize to one run key, so the second request
-        # is a cache hit on the first one's answer.
+    def test_sizes_sharing_a_run_are_separate_cache_entries(self):
+        # 3.0 and 3.5 GB quantize to one run, but the result cache keys
+        # the query itself: the second request misses it, is answered
+        # from the executor's run cache, and carries the query it asked.
         asked = [
             Query(workload="gups", size_gb=size, config="DRAM", num_threads=64)
             for size in (3.0, 3.5)
         ]
 
         async def scenario(service):
-            return [
+            envelopes = [
                 await service.handle_predict({"query": q.to_dict()})
                 for q in asked
             ]
+            return envelopes, service.executor_stats()
 
-        envelopes = run_service(scenario)
-        assert [e["meta"]["cached"] for e in envelopes] == [0, 1]
+        envelopes, stats = run_service(scenario, ServiceConfig(workers=1))
+        assert [e["meta"]["cached"] for e in envelopes] == [0, 0]
+        assert (stats["executed"], stats["hits"]) == (1, 1)
         oracle = Predictor()
         for query, envelope in zip(asked, envelopes):
             (result,) = envelope["results"]

@@ -17,8 +17,9 @@ from repro.api import Predictor
 from repro.api.errors import CapacityError, ValidationError
 from repro.api.types import PredictionResult, Query
 from repro.serve.client import ServeClient
+from repro.serve.ring import query_key
 from repro.serve.service import ServiceConfig
-from repro.serve.shard import ShardConfig, ShardDeployment
+from repro.serve.shard import ProcessReplica, ShardConfig, ShardDeployment
 
 
 def _queries() -> list[Query]:
@@ -93,23 +94,23 @@ def test_router_repeat_is_a_hit_in_the_owners_cache(deployment, oracle):
     assert "cache" not in after
 
 
-def test_owner_cache_hit_echoes_the_query_that_was_asked(deployment, oracle):
-    # 3.0 and 3.5 GB quantize to one run key, so one owner: the second
-    # query is a hit in its cache on the first one's answer.
+def test_sizes_sharing_a_run_are_keyed_apart(deployment, oracle):
+    # 3.0 and 3.5 GB quantize to one run, but the ring and the owners'
+    # caches key the wire query: neither answer is a result-cache hit,
+    # and each carries the query that was asked.
     _, host, port = deployment
     asked = [
         Query(workload="gups", size_gb=size, config="DRAM", num_threads=64)
         for size in (3.0, 3.5)
     ]
+    assert query_key(asked[0]) != query_key(asked[1])
+    answers = []
     with ServeClient(host, port, timeout=60.0) as client:
-        first = client.predict(asked[0])
-        before = client.metrics()["aggregate"]["cache"]["hits"]
-        second = client.predict(asked[1])
-        assert client.last_cached == 1
-        after = client.metrics()["aggregate"]["cache"]["hits"]
-    assert [first, second] == [oracle.predict(q) for q in asked]
-    assert second.query.size_gb == 3.5
-    assert after == before + 1
+        for query in asked:
+            answers.append(client.predict(query))
+            assert client.last_cached == 0
+    assert answers == [oracle.predict(q) for q in asked]
+    assert answers[1].query.size_gb == 3.5
 
 
 def test_healthz_reports_router_role_and_replica_states(deployment):
@@ -130,7 +131,7 @@ def test_healthz_reports_router_role_and_replica_states(deployment):
     assert version["replicas"] == 2
 
 
-def test_forwards_follow_ring_assignment(oracle):
+def test_forwards_follow_ring_assignment():
     """Key affinity end to end: every query is forwarded to exactly the
     replica the ring assigns its key to."""
     config = ShardConfig(
@@ -145,7 +146,7 @@ def test_forwards_follow_ring_assignment(oracle):
         ring = deployment.replicas.ring()
         expected: dict[str, int] = {}
         for query in queries:
-            owner = ring.assign(oracle.cache_key(query))
+            owner = ring.assign(query_key(query))
             expected[owner] = expected.get(owner, 0) + 1
         with ServeClient(host, port, timeout=60.0) as client:
             for query in queries:
@@ -274,7 +275,7 @@ def test_router_routes_and_fails_over(oracle):
         ring = deployment.replicas.ring()
         by_owner: dict[str, Query] = {}
         for query in queries:
-            by_owner.setdefault(ring.assign(oracle.cache_key(query)), query)
+            by_owner.setdefault(ring.assign(query_key(query)), query)
         victim, query = next(iter(by_owner.items()))
         with ServeClient(host, port, timeout=30.0) as client:
             deployment.kill_replica(victim)
@@ -306,3 +307,28 @@ def test_concurrent_router_clients_agree_with_oracle(deployment, oracle):
         thread.join(timeout=120)
         assert not thread.is_alive(), "client thread hung"
     assert errors == []
+
+
+def test_prewarm_runs_in_the_first_replica_only(tmp_path):
+    """The router loads no model, so ``prewarm`` goes to replica r0,
+    which fills the shared table cache before r1 boots from it."""
+    config = ShardConfig(
+        replicas=2,
+        backend="thread",
+        service=ServiceConfig(workers=1, table_cache_dir=str(tmp_path)),
+        probe_interval_s=0.0,
+        prewarm=True,
+    )
+    deployment = ShardDeployment(config)
+    with deployment:
+        assert [deployment.handle(r).prewarm for r in ("r0", "r1")] == [
+            True,
+            False,
+        ]
+    assert any(tmp_path.glob("tables-*.json"))
+    service = ServiceConfig(table_cache_dir=str(tmp_path))
+    argv = [
+        ProcessReplica(rid, service, prewarm=rid == "r0")._argv("address")
+        for rid in ("r0", "r1")
+    ]
+    assert ["--prewarm" in a for a in argv] == [True, False]
