@@ -26,8 +26,7 @@ docs/ENGINE.md, measured tier by tier):
 
 The bit-identity cross-check runs against the *warm* records, so the
 recorded numbers certify that cache-loaded tables answer with the scalar
-engine's exact bits.  The event simulator's optimized inner loop is
-measured against its retained reference implementation in the same file.
+engine's exact bits.
 """
 
 from __future__ import annotations
@@ -46,9 +45,7 @@ import numpy as np
 from repro.core.configs import ConfigName, SystemConfig, make_config
 from repro.core.runner import ExperimentRunner
 from repro.engine.batch import BatchEvaluator
-from repro.engine.eventsim import MemoryEventSimulator
 from repro.machine.topology import KNLMachine
-from repro.memory.dram import ddr4_archer
 from repro.workloads.base import Workload
 from repro.workloads.registry import FROM_GB
 
@@ -86,9 +83,6 @@ class EngineBenchResult:
     batch_warm_seconds: float
     batch_hot_seconds: float
     identity_checked_points: int
-    eventsim_requests: int
-    eventsim_reference_seconds: float
-    eventsim_optimized_seconds: float
 
     @property
     def scalar_us_per_point(self) -> float:
@@ -117,10 +111,6 @@ class EngineBenchResult:
             self.batch_warm_seconds / self.grid_points * 1e6
         )
 
-    @property
-    def eventsim_speedup(self) -> float:
-        return self.eventsim_reference_seconds / self.eventsim_optimized_seconds
-
     def as_dict(self) -> dict:
         return {
             "grid_points": self.grid_points,
@@ -142,12 +132,6 @@ class EngineBenchResult:
                 "warm_uses_table_cache": True,
             },
             "identity_checked_points": self.identity_checked_points,
-            "eventsim": {
-                "requests": self.eventsim_requests,
-                "reference_seconds": self.eventsim_reference_seconds,
-                "optimized_seconds": self.eventsim_optimized_seconds,
-                "speedup": self.eventsim_speedup,
-            },
         }
 
     def describe(self) -> str:
@@ -156,8 +140,7 @@ class EngineBenchResult:
             f"{self.scalar_us_per_point:.0f} us/pt, batch hot "
             f"{self.batch_hot_us_per_point:.2f} us/pt -> "
             f"{self.speedup_hot:.1f}x (warm {self.speedup_warm:.1f}x with "
-            f"table cache, cold {self.speedup_cold:.1f}x); "
-            f"eventsim {self.eventsim_speedup:.1f}x over reference"
+            f"table cache, cold {self.speedup_cold:.1f}x)"
         )
 
 
@@ -188,35 +171,6 @@ def build_grid(
         for config in trio
         for num_threads in threads
     ]
-
-
-#: The measured event-simulator operating point: 512 requests in flight.
-_EVENTSIM_POINT = dict(threads=64, mlp=8.0, requests_per_thread=200, seed=1)
-
-
-def _bench_eventsim(params: dict, repeats: int = 3) -> tuple[int, float, float]:
-    """Time the optimized event loop against the retained reference.
-
-    Best-of-``repeats`` per side: the runs are deterministic (same seed,
-    same bits every time), so the minimum is the measurement least
-    disturbed by scheduler noise.  Every repeat re-verifies equality.
-    """
-    simulator = MemoryEventSimulator(ddr4_archer(), sequential=False)
-    requests = params["threads"] * params["requests_per_thread"]
-    reference_s = optimized_s = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        reference = simulator._simulate_reference(**params)
-        reference_s = min(reference_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        optimized = simulator._simulate(**params)
-        optimized_s = min(optimized_s, time.perf_counter() - start)
-        if reference != optimized:
-            raise AssertionError(
-                "optimized event loop diverged from reference: "
-                f"{optimized} != {reference}"
-            )
-    return requests, reference_s, optimized_s
 
 
 def measure_engine(
@@ -279,7 +233,6 @@ def measure_engine(
                 f"{result.record(i)} != {scalar_records[i]}"
             )
 
-    requests, reference_s, optimized_s = _bench_eventsim(_EVENTSIM_POINT)
     return EngineBenchResult(
         grid_points=len(grid),
         scalar_sample_points=len(sample),
@@ -288,9 +241,6 @@ def measure_engine(
         batch_warm_seconds=batch_warm_seconds,
         batch_hot_seconds=batch_hot_seconds,
         identity_checked_points=checked,
-        eventsim_requests=requests,
-        eventsim_reference_seconds=reference_s,
-        eventsim_optimized_seconds=optimized_s,
     )
 
 
@@ -379,7 +329,6 @@ def _history_entry(result: EngineBenchResult) -> dict:
         "speedup_cold": round(result.speedup_cold, 2),
         "speedup_warm": round(result.speedup_warm, 2),
         "speedup_hot": round(result.speedup_hot, 2),
-        "eventsim_speedup": round(result.eventsim_speedup, 2),
     }
 
 

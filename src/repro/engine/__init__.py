@@ -32,15 +32,6 @@ from repro.engine.perfmodel import PerformanceModel, PhaseResult, RunResult
 from repro.engine.roofline import RooflineModel, RooflinePoint
 from repro.engine.calibration import PAPER_CHARACTERIZATION
 from repro.engine.energy import EnergyEstimate, EnergyModel, EnergyParameters
-from repro.engine.traces import (
-    TraceResult,
-    drive_cache,
-    miniature_mcdram_cache,
-    random_trace,
-    sequential_trace,
-    strided_trace,
-    zipfian_trace,
-)
 
 __all__ = [
     "AccessPattern",
@@ -61,11 +52,4 @@ __all__ = [
     "EnergyEstimate",
     "EnergyModel",
     "EnergyParameters",
-    "TraceResult",
-    "drive_cache",
-    "miniature_mcdram_cache",
-    "random_trace",
-    "sequential_trace",
-    "strided_trace",
-    "zipfian_trace",
 ]

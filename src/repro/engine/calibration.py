@@ -2,8 +2,8 @@
 
 Every constant the models are calibrated against is recorded here with its
 source in the paper, so tests can assert the models reproduce them and
-EXPERIMENTS.md can cite them.  Nothing in the engine imports numbers from
-anywhere else.
+EXPERIMENTS.md can cite them.  Only tests read this table: the engine and
+the device models carry their own constants and import nothing from it.
 """
 
 from __future__ import annotations

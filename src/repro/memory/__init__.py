@@ -15,8 +15,8 @@ configures around them:
   NUMA topology, used for the fine-grained-placement extension study.
 * :mod:`repro.memory.mcdram_cache` — the direct-mapped memory-side cache
   model responsible for the cache-mode behaviour of Figs. 2 and 4.
-* :mod:`repro.memory.latency` / :mod:`tlb` — loaded-latency and TLB/page
-  walk models behind the Fig. 3 latency tiers.
+* :mod:`repro.memory.tlb` — the TLB/page-walk model behind the Fig. 3
+  latency tiers beyond 128 MB.
 """
 
 from repro.memory.device import MemoryDevice
@@ -33,7 +33,6 @@ from repro.memory.policy import (
 )
 from repro.memory.allocator import Kind, Allocation, HeapAllocator, AllocationError
 from repro.memory.mcdram_cache import MCDRAMCacheModel
-from repro.memory.latency import LoadedLatencyModel
 from repro.memory.migration import (
     MigrationOutcome,
     MigrationPolicy,
@@ -63,7 +62,6 @@ __all__ = [
     "HeapAllocator",
     "AllocationError",
     "MCDRAMCacheModel",
-    "LoadedLatencyModel",
     "MigrationOutcome",
     "MigrationPolicy",
     "simulate_migration",

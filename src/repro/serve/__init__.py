@@ -4,8 +4,8 @@ The package splits along the request path:
 
 * :mod:`repro.serve.cache` — TTL+LRU result cache (the service keys it
   by the canonical wire :class:`~repro.api.types.Query`);
-* :mod:`repro.serve.coalescer` — admission queue + dispatchers that
-  merge concurrent queries into dense batches;
+* :mod:`repro.serve.coalescer` — admission queue + one dispatcher that
+  merges concurrent queries into dense batches;
 * :mod:`repro.serve.config` — :class:`ServiceConfig`, the service's
   knobs (model-free, so the router can carry it);
 * :mod:`repro.serve.service` — the protocol-independent service core

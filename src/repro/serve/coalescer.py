@@ -1,12 +1,12 @@
 """Request coalescing: many concurrent queries, few dense batches.
 
-Concurrent requests land individual queries in one bounded queue; a
-small set of dispatcher tasks drains the queue in arrival order and
-ships each drained slice as **one** batch to an evaluation callable on
-a worker pool (where it reaches the columnar
+Concurrent requests land individual queries in one bounded queue; one
+dispatcher task drains the queue in arrival order and ships each
+drained slice as **one** batch to an evaluation callable on a worker
+pool (where it reaches the columnar
 :class:`~repro.engine.batch.BatchEvaluator`).  A free dispatcher never
 waits: it drains whatever is queued, up to ``max_batch``, the moment it
-wakes.  Queries that arrive while every dispatcher is busy evaluating
+wakes.  Queries that arrive while the dispatcher is busy evaluating
 pile up and leave together as the next batch (group commit), so batch
 size follows queue depth — a lone query goes out alone, a burst goes
 out dense — and per-query results stay bit-identical to scalar
@@ -45,7 +45,7 @@ class _Pending:
 
 
 class Coalescer:
-    """Queue + dispatcher tasks turning concurrent queries into batches.
+    """Queue + one dispatcher task turning concurrent queries into batches.
 
     Parameters
     ----------
@@ -61,9 +61,6 @@ class Coalescer:
     max_queue:
         Admission bound; :meth:`submit` raises
         :class:`~repro.api.errors.CapacityError` beyond it.
-    dispatchers:
-        Number of concurrent dispatcher tasks — the effective number of
-        batches in flight (match the pool width).
     metrics:
         Optional registry receiving ``serve.batch_size`` /
         ``serve.queue_depth`` / ``serve.batches``.
@@ -76,24 +73,20 @@ class Coalescer:
         pool: Any,
         max_batch: int = 256,
         max_queue: int = 1024,
-        dispatchers: int = 2,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if dispatchers < 1:
-            raise ValueError(f"dispatchers must be >= 1, got {dispatchers}")
         self._evaluate = evaluate
         self._pool = pool
         self.max_batch = max_batch
         self.max_queue = max_queue
-        self.dispatchers = dispatchers
         self.metrics = metrics
         self._queue: deque[_Pending] = deque()
         self._wakeup: asyncio.Event | None = None
-        self._tasks: list[asyncio.Task[None]] = []
+        self._task: asyncio.Task[None] | None = None
         self._closing = False
         self._inflight = 0
         self.submitted = 0
@@ -103,15 +96,14 @@ class Coalescer:
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
-        """Spawn the dispatcher tasks on the running event loop."""
-        if self._tasks:
+        """Spawn the dispatcher task on the running event loop."""
+        if self._task is not None:
             raise RuntimeError("coalescer already started")
         self._closing = False
         self._wakeup = asyncio.Event()
-        self._tasks = [
-            asyncio.create_task(self._dispatch_loop(), name=f"coalescer-{i}")
-            for i in range(self.dispatchers)
-        ]
+        self._task = asyncio.create_task(
+            self._dispatch_loop(), name="coalescer"
+        )
 
     async def drain(self, timeout: float | None = None) -> bool:
         """Wait until queued and in-flight work is finished.
@@ -131,13 +123,13 @@ class Coalescer:
             await asyncio.sleep(0.005)
 
     async def stop(self) -> None:
-        """Reject new work, let dispatchers exit, cancel stragglers."""
+        """Reject new work, let the dispatcher exit, cancel stragglers."""
         self._closing = True
         if self._wakeup is not None:
             self._wakeup.set()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks = []
+        if self._task is not None:
+            await asyncio.gather(self._task, return_exceptions=True)
+        self._task = None
         for pending in self._queue:
             if not pending.future.done():
                 pending.future.set_exception(
@@ -195,12 +187,8 @@ class Coalescer:
                 batch.append(pending)
             if not self._queue:
                 if self._closing:
-                    # Evaluate what was drained, then exit — leaving the
-                    # event set so sibling dispatchers wake and exit too
-                    # (clearing it here would strand them in wait()).
                     if batch:
                         await self._dispatch(loop, batch)
-                    self._wakeup.set()
                     return
                 self._wakeup.clear()
             if batch:

@@ -16,6 +16,10 @@ back half:
 * a ``/v1/plan`` solve runs on a pool thread through that thread's
   :class:`~repro.plan.planner.CapacityPlanner`.
 
+``workers`` sizes the evaluation pool and nothing else: the
+coalescer's one dispatcher keeps a single predict batch in flight, and
+the other pool threads solve plans.
+
 Evaluation happens on pool threads through **thread-local**
 :class:`~repro.api.facade.Predictor` instances, each with its own
 planner on top — the batch evaluator
@@ -72,7 +76,7 @@ class PredictionService(RequestPipeline):
 
     # -- lifecycle ------------------------------------------------------------
     async def start(self) -> None:
-        """Bring up the worker pool and the coalescer dispatchers."""
+        """Bring up the worker pool and the coalescer's dispatcher."""
         if self._state not in ("created", "stopped"):
             raise RuntimeError(f"cannot start a service in state {self._state}")
         self._pool = ThreadPoolExecutor(
@@ -83,7 +87,6 @@ class PredictionService(RequestPipeline):
             pool=self._pool,
             max_batch=self.config.max_batch,
             max_queue=self.config.max_queue,
-            dispatchers=self.config.workers,
             metrics=self.metrics,
         )
         self._coalescer.start()

@@ -88,7 +88,7 @@ class ServerThread:
             loop.run_forever()
         finally:
             # After a graceful stop there is nothing left; after kill()
-            # the coalescer dispatchers are still pending — cancel them
+            # the coalescer's dispatcher is still pending — cancel it
             # locally (the crash already happened as far as peers are
             # concerned) so loop.close() does not warn.
             pending = asyncio.all_tasks(loop)

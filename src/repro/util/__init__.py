@@ -7,8 +7,6 @@ experiment harness:
 * :mod:`repro.util.units` — byte/time/rate unit constants and parsing
   (``GiB``, ``ns``, ``GB/s`` ...).  The paper mixes decimal GB (rates) and
   binary GiB (capacities); the conventions are pinned down here once.
-* :mod:`repro.util.formatting` — human-readable quantity formatting used by
-  the result tables and the CLI.
 * :mod:`repro.util.tables` — plain-text table rendering for the benchmark
   harness output (the "same rows the paper reports").
 * :mod:`repro.util.ascii_plot` — terminal line/bar plots so figure shapes
@@ -40,13 +38,6 @@ from repro.util.units import (
     bytes_to_gb,
     gb_to_bytes,
 )
-from repro.util.formatting import (
-    format_quantity,
-    format_rate,
-    format_time_ns,
-    format_ratio,
-    si_prefix,
-)
 from repro.util.tables import TextTable
 from repro.util.ascii_plot import AsciiChart
 from repro.util.prng import make_rng, derive_seed
@@ -76,11 +67,6 @@ __all__ = [
     "gib_to_bytes",
     "bytes_to_gb",
     "gb_to_bytes",
-    "format_quantity",
-    "format_rate",
-    "format_time_ns",
-    "format_ratio",
-    "si_prefix",
     "TextTable",
     "AsciiChart",
     "make_rng",

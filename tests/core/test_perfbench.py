@@ -37,9 +37,6 @@ def fake_result(scalar_seconds: float = 0.05) -> EngineBenchResult:
         batch_warm_seconds=0.01,
         batch_hot_seconds=0.005,
         identity_checked_points=100,
-        eventsim_requests=12800,
-        eventsim_reference_seconds=0.04,
-        eventsim_optimized_seconds=0.008,
     )
 
 
@@ -52,7 +49,6 @@ class TestEngineBenchHistory:
         assert len(document["history"]) == 1
         entry = document["history"][0]
         assert entry["scalar_us_per_point"] == 500.0
-        assert entry["eventsim_speedup"] == 5.0
         assert "at" in entry
 
     def test_regeneration_appends_not_overwrites(self, tmp_path):
@@ -82,13 +78,15 @@ class TestEngineBenchHistory:
         document = json.loads(path.read_text())
         assert len(document["history"]) == 1
 
-    def test_eventsim_point_recorded(self, tmp_path):
+    def test_no_event_simulator_row_is_written(self, tmp_path):
+        # The event simulator is a test oracle, not a production path:
+        # the engine bench times nothing of it.
         path = tmp_path / "BENCH_engine.json"
         write_engine_bench(fake_result(), path)
         document = json.loads(path.read_text())
-        assert document["eventsim"]["speedup"] == 5.0
-        assert document["eventsim"]["requests"] == 12800
+        assert "eventsim" not in document
         assert "eventsim_vector" not in document
+        assert "eventsim_speedup" not in document["history"][0]
 
 
 class TestServeBenchHistory:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.traces import (
+from tests.oracles.traces import (
     drive_cache,
     miniature_mcdram_cache,
     random_trace,

@@ -14,8 +14,6 @@ from repro import obs
 from repro.core.configs import ConfigName
 from repro.core.executor import SweepCell, SweepExecutor
 from repro.core.runner import ExperimentRunner
-from repro.engine.eventsim import MemoryEventSimulator
-from repro.memory.dram import ddr4_archer
 from repro.workloads.gups import GUPS
 from repro.workloads.stream import StreamBenchmark
 
@@ -94,31 +92,6 @@ class TestRunnerInstrumentation:
         plain = ExperimentRunner().run(_gups(), ConfigName.CACHE, 64)
         with obs.observe():
             observed = ExperimentRunner().run(_gups(), ConfigName.CACHE, 64)
-        assert observed == plain
-
-
-class TestEventSimInstrumentation:
-    def test_metrics_and_span(self):
-        simulator = MemoryEventSimulator(ddr4_archer(), sequential=True)
-        with obs.observe() as session:
-            result = simulator.run(
-                threads=4, mlp=2.0, requests_per_thread=50, seed=7
-            )
-        registry = session.metrics
-        assert registry.counter_value("eventsim.requests") == result.requests
-        latency = registry.histogram_summary("eventsim.mean_latency_ns")
-        assert latency.count == 1
-        (span,) = [s for s in session.spans() if s.name == "eventsim.run"]
-        assert span.tags["threads"] == 4
-        assert span.tags["sequential"] is True
-
-    def test_result_identical_with_and_without_observation(self):
-        simulator = MemoryEventSimulator(ddr4_archer(), sequential=False)
-        plain = simulator.run(threads=2, mlp=2.0, requests_per_thread=40, seed=3)
-        with obs.observe():
-            observed = simulator.run(
-                threads=2, mlp=2.0, requests_per_thread=40, seed=3
-            )
         assert observed == plain
 
 

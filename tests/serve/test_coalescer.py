@@ -82,7 +82,7 @@ def test_free_dispatcher_sends_at_once_and_queued_arrivals_batch_together():
 
     async def scenario():
         with ThreadPoolExecutor(1) as pool:
-            coalescer = Coalescer(held, pool=pool, dispatchers=1)
+            coalescer = Coalescer(held, pool=pool)
             coalescer.start()
             first = coalescer.submit(_query(0), "k0")
             give_up = time.monotonic() + 10.0
@@ -193,8 +193,7 @@ def test_stop_fails_leftovers_when_dispatchers_are_gone():
         with ThreadPoolExecutor(1) as pool:
             coalescer = Coalescer(RecordingEvaluator(), pool=pool)
             coalescer.start()
-            for task in coalescer._tasks:  # simulate a crashed loop
-                task.cancel()
+            coalescer._task.cancel()  # simulate a crashed loop
             leftover = coalescer.submit(_query(0), "k0")
             await coalescer.stop()
             with pytest.raises(CapacityError):
@@ -240,7 +239,6 @@ def test_counters_track_submissions_and_batches():
     [
         {"max_batch": 0},
         {"max_queue": 0},
-        {"dispatchers": 0},
     ],
 )
 def test_invalid_parameters_raise(kwargs):

@@ -1,5 +1,6 @@
-"""The dead-import lint (`tools/check_imports.py`) as part of the tier-1
-suite: the tree is clean, and a planted unused import is caught."""
+"""The import lint (`tools/check_imports.py`) as part of the tier-1
+suite: the tree is clean, and a planted unused import or a planted
+``src/`` import of ``tests`` is caught."""
 
 from __future__ import annotations
 
@@ -87,3 +88,32 @@ class TestCheckImports:
         check_imports = load_check_imports()
         path = _plant(tmp_path, "src/pkg/__init__.py", "from os import sep\n")
         assert check_imports.unused_imports(path) == []
+
+    def test_detects_src_importing_tests(self, tmp_path):
+        check_imports = load_check_imports()
+        _plant(
+            tmp_path,
+            "src/pkg/bench.py",
+            "from tests.oracles.eventsim import MemoryEventSimulator\n"
+            "import tests.oracles.mesh\n"
+            "def f():\n"
+            "    import tests\n"
+            "    return MemoryEventSimulator, tests\n",
+        )
+        # Neither a look-alike module nor a relative import is ``tests``,
+        # and tests may import each other.
+        _plant(
+            tmp_path,
+            "src/pkg/mod.py",
+            "import testsuite\nfrom . import tests\nprint(testsuite, tests)\n",
+        )
+        _plant(
+            tmp_path,
+            "tests/test_y.py",
+            "from tests.oracles.mesh import f\nprint(f)\n",
+        )
+        assert check_imports.check(tmp_path) == [
+            "src/pkg/bench.py:1: imports 'tests.oracles.eventsim' from tests/",
+            "src/pkg/bench.py:2: imports 'tests.oracles.mesh' from tests/",
+            "src/pkg/bench.py:4: imports 'tests' from tests/",
+        ]

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Dead-import lint (`make docs-check`).
+"""Import lint (`make docs-check`): dead imports and the src/tests boundary.
 
 Reports every name a module imports but never uses, scanning ``src/``,
 ``tests/``, ``tools/``, ``benchmarks/`` and ``examples/`` with the
@@ -10,8 +10,12 @@ An ``__init__.py`` without ``__all__`` re-exports everything it
 imports, so it is not scanned; ``from __future__`` imports and an
 ``import x as x`` re-export are never reported.
 
-Exit status 0 when clean, 1 with one ``path:line: name`` line per dead
-import otherwise.  Run directly (``python tools/check_imports.py``) or
+It also reports every import of ``tests`` or a module under it from
+``src/``: test oracles live in ``tests/``, and the library must run
+without them.
+
+Exit status 0 when clean, 1 with one ``path:line: ...`` line per
+problem otherwise.  Run directly (``python tools/check_imports.py``) or
 via ``tests/test_check_imports.py``, which puts it in the tier-1 suite.
 """
 
@@ -104,6 +108,23 @@ def unused_imports(path: Path) -> list[tuple[str, int]]:
     return [(name, line) for name, line in _imported(tree) if name not in used]
 
 
+def imports_of_tests(path: Path) -> list[tuple[str, int]]:
+    """(module, line) for every import of ``tests`` or a module under it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            continue
+        for module in modules:
+            if module.split(".", 1)[0] == "tests":
+                found.append((module, node.lineno))
+    return found
+
+
 def python_files(repo_root: Path = REPO_ROOT) -> list[Path]:
     files: list[Path] = []
     for directory in SCANNED:
@@ -112,12 +133,19 @@ def python_files(repo_root: Path = REPO_ROOT) -> list[Path]:
 
 
 def check(repo_root: Path = REPO_ROOT) -> list[str]:
-    """Every dead import under the scanned directories, as error strings."""
-    return [
+    """Every dead import under the scanned directories, then every
+    ``src/`` import of ``tests``, as error strings."""
+    errors = [
         f"{path.relative_to(repo_root)}:{line}: {name!r} imported but unused"
         for path in python_files(repo_root)
         for name, line in unused_imports(path)
     ]
+    errors += [
+        f"{path.relative_to(repo_root)}:{line}: imports {module!r} from tests/"
+        for path in sorted((repo_root / "src").rglob("*.py"))
+        for module, line in imports_of_tests(path)
+    ]
+    return errors
 
 
 def main() -> int:
@@ -125,7 +153,7 @@ def main() -> int:
     for error in errors:
         print(error, file=sys.stderr)
     if errors:
-        print(f"check-imports: {len(errors)} unused import(s)", file=sys.stderr)
+        print(f"check-imports: {len(errors)} problem(s)", file=sys.stderr)
         return 1
     print(f"check-imports: OK ({len(python_files())} modules)")
     return 0
