@@ -12,7 +12,7 @@ schema bump cannot leave a stale stamp behind.
   from a typed :class:`~repro.api.errors.ApiError` or a bare
   ``(code, message)`` pair;
 * :func:`plan_envelope_bytes` — the ``/v1/plan`` success body, already
-  encoded.
+  encoded, from each assignment's :func:`assignment_fragments`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,12 @@ from repro.api.errors import ApiError
 if TYPE_CHECKING:
     from repro.api.plan import PlanResult
 
-__all__ = ["success_envelope", "error_envelope", "plan_envelope_bytes"]
+__all__ = [
+    "success_envelope",
+    "error_envelope",
+    "assignment_fragments",
+    "plan_envelope_bytes",
+]
 
 
 def success_envelope(**fields: Any) -> dict[str, Any]:
@@ -86,53 +91,86 @@ def _scalar(value: Any) -> str:
     return json.dumps(value)
 
 
+def assignment_fragments(
+    spec: tuple[Any, Any, Any], fields: Mapping[str, Any]
+) -> tuple[str, str, str]:
+    """One plan assignment's JSON text, as ``json.dumps(...,
+    sort_keys=True)`` writes it, in the three pieces around its item's
+    ``weight`` and its ``load_nodes``.
+
+    ``spec`` is the item's ``(workload, size_gb, num_threads)``;
+    ``fields`` maps the assignment's other field names (``config``,
+    ``energy_j``, ``machine``, ``metric``, ``metric_name``,
+    ``metric_unit``, ``time_ns``) to their values.
+    """
+    workload, size_gb, num_threads = spec
+    # The keys of PlanAssignment.to_dict and TrafficItem.to_dict, sorted.
+    return (
+        '{"config": ' + _scalar(fields["config"])
+        + ', "energy_j": ' + _scalar(fields["energy_j"])
+        + ', "item": {"num_threads": ' + _scalar(num_threads)
+        + ', "size_gb": ' + _scalar(size_gb)
+        + ', "weight": ',
+        ', "workload": ' + _scalar(workload) + '}, "load_nodes": ',
+        ', "machine": ' + _scalar(fields["machine"])
+        + ', "metric": ' + _scalar(fields["metric"])
+        + ', "metric_name": ' + _scalar(fields["metric_name"])
+        + ', "metric_unit": ' + _scalar(fields["metric_unit"])
+        + ', "time_ns": ' + _scalar(fields["time_ns"]) + "}",
+    )
+
+
 def plan_envelope_bytes(result: "PlanResult", meta: Mapping[str, Any]) -> bytes:
     """The ``/v1/plan`` success body: byte-identical to
     ``json.dumps(success_envelope(plan=result.to_dict(), meta=meta),
     sort_keys=True).encode()``, without building those dictionaries.
 
     A plan repeats few distinct options over many items, so each
-    assignment's fields other than ``weight`` and ``load_nodes`` are
-    encoded once per distinct value in this call and reused.  A memo key
-    carries each number's type, and a zero by its ``repr``, so ``1`` and
-    ``1.0``, or ``0.0`` and ``-0.0``, never share a fragment.
+    assignment's text other than its ``weight`` and ``load_nodes`` is
+    encoded once and reused.  The planner's assignments carry that text
+    (``PlanAssignment.encoded``), encoded once per priced option; any
+    other assignment's is encoded once per distinct value in this call.
+    That memo's key carries each number's type, and a zero by its
+    ``repr``, so ``1`` and ``1.0``, or ``0.0`` and ``-0.0``, never share
+    a fragment.
     """
     from repro.api.types import SCHEMA_VERSION
 
     fragments: dict[tuple[Any, ...], tuple[str, str, str]] = {}
     assignments = []
+    float_repr = float.__repr__
     for a in result.assignments:
         item = a.item
-        key = (
-            a.config, a.machine, a.metric_name, a.metric_unit, item.workload,
-            item.num_threads, item.num_threads.__class__,
-            item.size_gb or repr(item.size_gb), item.size_gb.__class__,
-            a.energy_j or repr(a.energy_j), a.energy_j.__class__,
-            a.metric or repr(a.metric), a.metric.__class__,
-            a.time_ns or repr(a.time_ns), a.time_ns.__class__,
-        )
-        parts = fragments.get(key)
+        parts = a.encoded
         if parts is None:
-            # The keys of PlanAssignment.to_dict and TrafficItem.to_dict,
-            # sorted.
-            parts = fragments[key] = (
-                '{"config": ' + _scalar(a.config)
-                + ', "energy_j": ' + _scalar(a.energy_j)
-                + ', "item": {"num_threads": ' + _scalar(item.num_threads)
-                + ', "size_gb": ' + _scalar(item.size_gb)
-                + ', "weight": ',
-                ', "workload": ' + _scalar(item.workload)
-                + '}, "load_nodes": ',
-                ', "machine": ' + _scalar(a.machine)
-                + ', "metric": ' + _scalar(a.metric)
-                + ', "metric_name": ' + _scalar(a.metric_name)
-                + ', "metric_unit": ' + _scalar(a.metric_unit)
-                + ', "time_ns": ' + _scalar(a.time_ns) + "}",
+            key = (
+                a.config, a.machine, a.metric_name, a.metric_unit,
+                item.workload, item.num_threads, item.num_threads.__class__,
+                item.size_gb or repr(item.size_gb), item.size_gb.__class__,
+                a.energy_j or repr(a.energy_j), a.energy_j.__class__,
+                a.metric or repr(a.metric), a.metric.__class__,
+                a.time_ns or repr(a.time_ns), a.time_ns.__class__,
             )
+            parts = fragments.get(key)
+            if parts is None:
+                parts = fragments[key] = assignment_fragments(
+                    (item.workload, item.size_gb, item.num_threads), vars(a)
+                )
         head, middle, tail = parts
-        assignments.append(
-            head + _scalar(item.weight) + middle + _scalar(a.load_nodes) + tail
+        weight, load = item.weight, a.load_nodes
+        # A finite float (x - x == 0.0) is written as float.__repr__
+        # writes it; _scalar takes every other value.
+        weight = (
+            float_repr(weight)
+            if weight.__class__ is float and weight - weight == 0.0
+            else _scalar(weight)
         )
+        load = (
+            float_repr(load)
+            if load.__class__ is float and load - load == 0.0
+            else _scalar(load)
+        )
+        assignments.append(f"{head}{weight}{middle}{load}{tail}")
     loads = [load.to_dict() for load in result.loads]
     return (
         '{"meta": ' + json.dumps(meta, sort_keys=True)

@@ -216,16 +216,22 @@ class Predictor:
         return PredictionResult.from_record(query, record)
 
     def predict_many(
-        self, queries: Sequence[Query]
+        self,
+        queries: Sequence[Query],
+        cells: Sequence["SweepCell"] | None = None,
     ) -> list[PredictionResult]:
         """Answer many queries as dense per-machine batches.
 
         Results come back in submission order; each machine preset's
         cells go through its executor as one batch, so misses take the
         columnar engine and duplicates inside the batch are evaluated
-        once.
+        once.  ``cells`` are the queries' :meth:`resolve` cells, index
+        for index, where the caller already resolved them (a cell does
+        not depend on the predictor that resolved it); by default each
+        query is resolved here.
         """
-        cells = [self.resolve(q) for q in queries]
+        if cells is None:
+            cells = [self.resolve(q) for q in queries]
         by_machine: dict[str, list[int]] = {}
         for i, query in enumerate(queries):
             by_machine.setdefault(query.machine, []).append(i)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.api.errors import (
@@ -165,6 +165,7 @@ class TrafficItem:
 _ITEM_REQUIRED = ("workload", "size_gb")
 _ITEM_OPTIONAL = ("num_threads", "weight")
 _ITEM_KEYS = frozenset(_ITEM_REQUIRED + _ITEM_OPTIONAL)
+_INF = float("inf")
 
 
 def _canonical_spec(
@@ -185,11 +186,15 @@ def _parse_mix(mix: Sequence[Any]) -> tuple[TrafficItem, ...]:
 
     Each distinct raw ``(workload, size_gb, num_threads)`` is
     canonicalized once per call; every item's key set and weight are
-    still checked.  The memo keys each raw value with its type, so
-    ``True``, ``1`` and ``1.0`` never share an entry.
+    still checked.  A spec of exact ``str``, ``float`` and ``int`` (what
+    ``json.loads`` makes) is its own memo key: equal values of those
+    types canonicalize alike.  Any other spec is keyed with each value's
+    type, so ``True``, ``1`` and ``1.0`` never share an entry (nor one
+    of the exact keys, which have another length).
     """
     specs: dict[tuple[Any, ...], tuple[str, float, int]] = {}
     items = []
+    trusted = TrafficItem._trusted
     for data in mix:
         # A well-formed item costs one set test; anything else gets
         # _require_keys' typed error (or passes it, as a non-dict mapping).
@@ -205,22 +210,29 @@ def _parse_mix(mix: Sequence[Any]) -> tuple[TrafficItem, ...]:
         workload = data["workload"]
         size_gb = data["size_gb"]
         num_threads = data.get("num_threads", 64)
-        raw = (
-            workload, workload.__class__,
-            size_gb, size_gb.__class__,
-            num_threads, num_threads.__class__,
-        )
+        if (
+            workload.__class__ is str
+            and size_gb.__class__ is float
+            and num_threads.__class__ is int
+        ):
+            raw: tuple[Any, ...] = (workload, size_gb, num_threads)
+        else:
+            raw = (
+                workload, workload.__class__,
+                size_gb, size_gb.__class__,
+                num_threads, num_threads.__class__,
+            )
         try:
             spec = specs.get(raw)
         except TypeError:  # an unhashable value, which is never valid
             spec = None
         if spec is None:
             spec = specs[raw] = _canonical_spec(workload, size_gb, num_threads)
-        items.append(
-            TrafficItem._trusted(
-                *spec, _check_size("weight", data.get("weight", 1.0))
-            )
-        )
+        weight = data.get("weight", 1.0)
+        # A positive finite float is already what _check_size returns.
+        if weight.__class__ is not float or not 0.0 < weight < _INF:
+            weight = _check_size("weight", weight)
+        items.append(trusted(*spec, weight))
     return tuple(items)
 
 
@@ -376,6 +388,15 @@ class PlanAssignment:
     metric_unit: str
     load_nodes: float
     energy_j: float
+    #: The assignment's JSON text around its item's ``weight`` and its
+    #: ``load_nodes`` (:func:`repro.api.envelope.assignment_fragments`),
+    #: where the builder encoded it once for every assignment of one
+    #: priced option, as the planner does; ``None`` otherwise.  It is no
+    #: constructor argument and takes no part in equality, so
+    #: ``dataclasses.replace`` never carries stale text.
+    encoded: tuple[str, str, str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -401,6 +422,20 @@ class PlanAssignment:
         :func:`repro.plan.check_plan` before it is returned."""
         self = object.__new__(cls)
         self.__dict__.update(fields)
+        return self
+
+    @classmethod
+    def _from_template(
+        cls, template: Mapping[str, Any], item: TrafficItem, load_nodes: float
+    ) -> "PlanAssignment":
+        """Like :meth:`_trusted`, with every field but ``item`` and
+        ``load_nodes`` (``encoded`` included) taken from ``template``,
+        which the planner builds once per priced option."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields.update(template)
+        fields["item"] = item
+        fields["load_nodes"] = load_nodes
         return self
 
     @property

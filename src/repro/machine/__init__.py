@@ -15,13 +15,7 @@ computed by :mod:`repro.engine` from these parameters together with the
 memory subsystem model (:mod:`repro.memory`).
 """
 
-from repro.machine.caches import (
-    CacheGeometry,
-    SetAssociativeCache,
-    CacheStats,
-    knl_l1d,
-    knl_l2,
-)
+from repro.machine.caches import CacheGeometry, knl_l1d, knl_l2
 from repro.machine.core import Core, HardwareThread
 from repro.machine.tile import Tile
 from repro.machine.mesh import Mesh2D, ClusterMode
@@ -38,8 +32,6 @@ from repro.machine import registry
 
 __all__ = [
     "CacheGeometry",
-    "SetAssociativeCache",
-    "CacheStats",
     "knl_l1d",
     "knl_l2",
     "Core",

@@ -27,7 +27,11 @@ Honesty rules:
 * if a fleet does not fit the starting pool, the pool's node counts are
   escalated deterministically, on a planner of its own, until it does;
   only solves of the fitting request are timed (the escalation count is
-  recorded).
+  recorded);
+* the host's speed drifts, so every run also times a fixed pure-Python
+  kernel (:func:`host_probe_ms`) before and after the fleets, and its
+  history row carries the median: two rows compare fairly only
+  alongside their probes.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from repro.plan.planner import CapacityPlanner
 __all__ = [
     "DEFAULT_FLEET_SIZES",
     "REPEATS",
+    "host_probe_ms",
     "synthetic_request",
     "measure_plan",
     "history_row",
@@ -123,6 +128,27 @@ def _fitting_request(
     )
 
 
+def _probe_kernel() -> float:
+    """A fixed mix of interpreter work like the planner's (tuple
+    building, dict updates, float arithmetic, a keyed sort and float
+    formatting) that touches no model code.  Returns a checksum so
+    nothing is elided."""
+    rows = [(i * 7919 % 997, 0.5 + (i % 11) * 0.25) for i in range(4000)]
+    totals: dict[int, float] = {}
+    for key, weight in rows:
+        totals[key] = totals.get(key, 0.0) + weight * 1e-9
+    ranked = sorted(rows, key=lambda row: (row[1], -row[0]))
+    text = ",".join(repr(value) for value in totals.values())
+    return len(text) + ranked[0][1]
+
+
+def host_probe_ms(calls: int = REPEATS) -> float:
+    """The host's speed now: the median milliseconds of ``calls`` runs
+    of a fixed pure-Python kernel.  A run whose probe reads 1.5x longer
+    than another's ran on a 1.5x slower host (or interpreter)."""
+    return statistics.median(_timed_ms(_probe_kernel) for _ in range(calls))
+
+
 def _timed_ms(call: Callable[[], object]) -> float:
     started = time.perf_counter()
     call()
@@ -186,9 +212,11 @@ def measure_plan(
     table_cache_dir: Any = None,
 ) -> dict[str, Any]:
     """The ``repro bench plan`` document: planner latency vs fleet size."""
+    probe_before = host_probe_ms()
     details = {
         str(size): _measure_fleet(size, table_cache_dir) for size in fleet_sizes
     }
+    probe_after = host_probe_ms()
 
     def column(name: str) -> dict[str, float]:
         return {size: row[name] for size, row in details.items()}
@@ -197,6 +225,7 @@ def measure_plan(
         "benchmark": "plan",
         "fleet_sizes": list(fleet_sizes),
         "pool_machines": list(_POOL_MACHINES),
+        "host_probe_ms": statistics.median((probe_before, probe_after)),
         "planner": {
             "repeats": REPEATS,
             "latency_ms": column("latency_ms"),
@@ -226,12 +255,19 @@ def measure_plan(
             "parse_ms and encode_ms (with their IQRs) are the served "
             "path's other stages, each the median of `repeats` warm "
             "calls: PlanRequest.from_dict of the request's wire form, and "
-            "plan_envelope_bytes of its plan (the /v1/plan response body)."
+            "plan_envelope_bytes of its plan (the /v1/plan response body).  "
+            "host_probe_ms is the host's speed during the run: the median "
+            "time of a fixed pure-Python kernel, timed before and after "
+            "the fleets; compare latencies across history rows only "
+            "alongside it."
         ),
     }
 
 
 def history_row(document: dict[str, Any]) -> dict[str, Any]:
     """The compact ``history`` row of a :func:`measure_plan` document:
-    its cold median latency per fleet size."""
-    return {"plan_latency_ms": dict(document["planner"]["latency_ms"])}
+    its cold median latency per fleet size, and the host's speed."""
+    return {
+        "plan_latency_ms": dict(document["planner"]["latency_ms"]),
+        "host_probe_ms": document["host_probe_ms"],
+    }

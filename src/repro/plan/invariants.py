@@ -73,7 +73,9 @@ def check_plan(request: PlanRequest, result: PlanResult) -> list[str]:
 
 
 def _close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=1e-12)
+    # math.isclose holds for equal values; testing that first only skips
+    # the call.
+    return a == b or math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=1e-12)
 
 
 @plan_invariant(
@@ -95,7 +97,9 @@ def _weight_conserved(request: PlanRequest, result: PlanResult) -> list[str]:
     for i, (item, assignment) in enumerate(
         zip(request.mix, result.assignments)
     ):
-        if assignment.item != item:
+        # Dataclass equality holds between an item and itself (identical
+        # fields compare equal), so the identity test only skips a call.
+        if assignment.item is not item and assignment.item != item:
             violations.append(
                 f"assignment {i} carries {assignment.item}, mix has {item}"
             )
@@ -112,19 +116,18 @@ def _weight_conserved(request: PlanRequest, result: PlanResult) -> list[str]:
 )
 def _assignments_valid(request: PlanRequest, result: PlanResult) -> list[str]:
     violations: list[str] = []
-    pool = {entry.machine: entry for entry in request.pool}
+    allowed = {entry.machine: entry.effective_configs() for entry in request.pool}
     for i, assignment in enumerate(result.assignments):
-        entry = pool.get(assignment.machine)
-        if entry is None:
+        configs = allowed.get(assignment.machine)
+        if configs is None:
             violations.append(
                 f"assignment {i} on {assignment.machine!r}, not in the pool"
             )
             continue
-        if assignment.config not in entry.effective_configs():
+        if assignment.config not in configs:
             violations.append(
                 f"assignment {i} uses config {assignment.config!r}, which "
-                f"{assignment.machine} does not allow "
-                f"({', '.join(entry.effective_configs())})"
+                f"{assignment.machine} does not allow ({', '.join(configs)})"
             )
         expected = assignment.item.weight * assignment.time_ns * 1e-9
         if not _close(assignment.load_nodes, expected):

@@ -20,11 +20,15 @@ Given a declarative traffic mix and a machine pool
    are resolved, evaluated and energy-priced.  Nothing invalidates it:
    a planner is tied to one predictor and one energy model, and an
    executor's answer for a cell never changes;
-2. **ranks** each spec's options once by (unit cost, machine, config),
-   the unit cost being ``time_ns`` or the energy per arrival from
-   :class:`~repro.engine.energy.EnergyModel`; each item adds only its
-   load (``weight * time_s``, Little's law) and cost, and is re-sorted
-   only where two adjacent products round equal;
+2. **ranks** each spec's options by (unit cost, machine, config), the
+   unit cost being ``time_ns`` or the energy per arrival from
+   :class:`~repro.engine.energy.EnergyModel`, once per planner, pool
+   and objective: the ranked columns, with each option's assignment
+   template and JSON text, are remembered under the same bound.  Each
+   item adds only its load (``weight * time_s``, Little's law) and
+   cost, and is re-sorted only where two adjacent products round equal;
+   it skips that scan where its spec's unit costs are provably too far
+   apart to round equal;
 3. **solves** the placement: deterministic greedy best-fit-decreasing
    (hardest items first, each on its cheapest candidate that still
    fits), minimizing aggregate runtime load or aggregate energy under
@@ -50,9 +54,11 @@ identity test pins.
 
 from __future__ import annotations
 
+import sys
 from collections import OrderedDict
-from typing import Sequence
+from typing import Any, Sequence
 
+from repro.api.envelope import assignment_fragments
 from repro.api.errors import InfeasiblePlanError, PlanError, ValidationError
 from repro.api.facade import Predictor, sized_workload
 from repro.api.plan import (
@@ -72,6 +78,16 @@ __all__ = ["CapacityPlanner", "plan_request"]
 #: Relative capacity slack for float sums of loads.
 _REL_TOL = 1e-9
 
+#: Relative gap between two distinct unit costs beyond which no weight
+#: can round their products equal.  Each product is rounded at most twice
+#: (``weight * time_ns * 1e-9``), each time by at most 2**-53 relative
+#: while it stays a normal float, so any gap far above 2**-51 survives.
+_SEPARATED = 1e-12
+
+#: The smallest normal and the largest finite float.
+_MIN_NORMAL = sys.float_info.min
+_MAX_FINITE = sys.float_info.max
+
 
 #: A mix item's ``(workload, size_gb, num_threads)``: items that share
 #: one share its predictions.
@@ -84,9 +100,57 @@ _Option = tuple[Query, PredictionResult, float]
 #: machine, config)``.
 _OptionKey = tuple[str, float, int, str, str]
 
+#: A pool's ``(machine, effective configs)`` pairs, in pool order: what a
+#: spec's options depend on.
+_PoolKey = tuple[tuple[str, tuple[str, ...]], ...]
+
+#: A ranked-columns memo key: ``(spec, pool, objective)``.
+_ColumnsKey = tuple[_Spec, _PoolKey, str]
+
 #: One item's row: its options cheapest first, with the item's load
 #: and cost of each, index for index.
 _Row = tuple[Sequence[_Option], list[float], list[float]]
+
+
+class _Columns:
+    """One spec's options over one pool, ranked by (unit cost, machine,
+    config) for one objective, with everything its items share.
+
+    ``times`` and ``energies`` are the options' ``time_ns`` and energy
+    per arrival; an item multiplies them by its weight.  ``separated``
+    says that every two adjacent unit costs are exactly equal or more
+    than :data:`_SEPARATED` apart relatively, so a weight whose products
+    stay normal floats keeps this order.  ``templates`` maps each
+    option's ``(machine, config)`` to its assignment fields other than
+    ``item`` and ``load_nodes``, their JSON text included.
+    """
+
+    __slots__ = ("options", "times", "energies", "separated", "templates")
+
+    def __init__(
+        self, spec: _Spec, options: Sequence[_Option], energy: bool
+    ) -> None:
+        self.options = tuple(options)
+        self.times = [result.time_ns for _, result, _ in options]
+        self.energies = [energy_j for _, _, energy_j in options]
+        units = self.energies if energy else self.times
+        self.separated = all(
+            a == b or b > a * (1.0 + _SEPARATED)
+            for a, b in zip(units, units[1:])
+        )
+        self.templates: dict[tuple[str, str], dict[str, Any]] = {}
+        for query, result, energy_j in options:
+            template = {
+                "machine": query.machine,
+                "config": query.config,
+                "time_ns": result.time_ns,
+                "metric": result.metric,
+                "metric_name": result.metric_name,
+                "metric_unit": result.metric_unit,
+                "energy_j": energy_j,
+            }
+            template["encoded"] = assignment_fragments(spec, template)
+            self.templates[query.machine, query.config] = template
 
 
 class CapacityPlanner:
@@ -110,11 +174,13 @@ class CapacityPlanner:
         #: offers no candidate; least recently used first, and bounded by
         #: the predictor's run-cache size.
         self._priced: OrderedDict[_OptionKey, _Option | None] = OrderedDict()
+        #: Every spec's ranked columns per pool and objective, least
+        #: recently used first, under the same bound.
+        self._columns_memo: OrderedDict[_ColumnsKey, _Columns] = OrderedDict()
 
     # -- evaluation -----------------------------------------------------------
-    def _remember(self, key: _OptionKey, option: _Option | None) -> None:
-        memo = self._priced
-        memo[key] = option
+    def _remember(self, memo: OrderedDict, key: Any, value: Any) -> None:
+        memo[key] = value
         while len(memo) > self.predictor.cache_size:
             memo.popitem(last=False)
 
@@ -156,7 +222,7 @@ class CapacityPlanner:
                         # Machine-dependent rejection (unsupported memory
                         # mode, thread count over the machine's limit):
                         # this machine simply offers no such candidate.
-                        self._remember(key, None)
+                        self._remember(memo, key, None)
                         continue
                     misses.append((key, query))
                     cells.append(cell)
@@ -172,14 +238,14 @@ class CapacityPlanner:
                 result = PredictionResult.from_record(query, record)
                 if result.error is not None or result.time_ns is None:
                     # Modelled infeasibility: not a candidate.
-                    self._remember(key, None)
+                    self._remember(memo, key, None)
                     continue
                 estimate = self.energy_model.estimate_record(
                     sized_workload(query.workload, query.size_gb), record
                 )
                 assert estimate is not None  # feasible => run_result set
                 option = (query, result, estimate.total_j)
-                self._remember(key, option)
+                self._remember(memo, key, option)
                 options[key[:3]].append(option)
         energy = request.objective == "energy"
         for ranked in options.values():
@@ -190,35 +256,68 @@ class CapacityPlanner:
             )
         return options
 
-    def _rows(self, request: PlanRequest) -> list[_Row]:
-        """Per-item rows, each sorted by ``(cost, machine, config)``.
+    def _columns(
+        self, request: PlanRequest, specs: Sequence[_Spec]
+    ) -> dict[_Spec, _Columns]:
+        """Each distinct spec's ranked columns over the request's pool,
+        ranked and templated once per planner: only specs the memo lacks
+        reach :meth:`_ranked_options`."""
+        pool: _PoolKey = tuple(
+            (entry.machine, entry.effective_configs()) for entry in request.pool
+        )
+        objective = request.objective
+        memo = self._columns_memo
+        columns: dict[_Spec, _Columns] = {}
+        unseen: list[_Spec] = []
+        for spec in specs:
+            key = (spec, pool, objective)
+            found = memo.get(key)
+            if found is None:
+                unseen.append(spec)
+            else:
+                memo.move_to_end(key)
+                columns[spec] = found
+        if unseen:
+            # Machine-independent problems (unknown workload, a size the
+            # constructor rejects) are typed request errors, not
+            # "infeasible everywhere" — surface them before any fan-out.
+            # A remembered spec was valid, so the first invalid spec in
+            # mix order still raises.
+            for workload, size_gb, _ in unseen:
+                sized_workload(workload, size_gb)
+            energy = objective == "energy"
+            for spec, options in self._ranked_options(request, unseen).items():
+                found = columns[spec] = _Columns(spec, options, energy)
+                self._remember(memo, (spec, pool, objective), found)
+        return columns
+
+    def _rows(
+        self, request: PlanRequest, columns: Sequence[_Columns]
+    ) -> list[_Row]:
+        """Per-item rows, each sorted by ``(cost, machine, config)``;
+        ``columns`` holds each item's spec columns, item for item.
 
         Items that share a ``(workload, size_gb, num_threads)`` spec
         share its ranked options; only the weight-dependent load and
         cost are per item.
         """
-        spec_of = [
-            (item.workload, item.size_gb, item.num_threads)
-            for item in request.mix
-        ]
-        specs = list(dict.fromkeys(spec_of))
-        # Machine-independent problems (unknown workload, a size the
-        # constructor rejects) are typed request errors, not "infeasible
-        # everywhere" — surface them before any fan-out.
-        for workload, size_gb, _ in specs:
-            sized_workload(workload, size_gb)
-        ranked = self._ranked_options(request, specs)
         energy = request.objective == "energy"
         rows: list[_Row] = []
-        for item, spec in zip(request.mix, spec_of):
-            options: Sequence[_Option] = ranked[spec]
+        for item, spec in zip(request.mix, columns):
+            options: Sequence[_Option] = spec.options
             weight = item.weight
-            loads = [weight * r.time_ns * 1e-9 for _, r, _ in options]
-            costs = [weight * e for _, _, e in options] if energy else loads
-            # A positive weight keeps the spec's order unless two
-            # adjacent products round equal; then (machine, config)
-            # decides, so re-sort just this item.
-            if any(a == b for a, b in zip(costs, costs[1:])):
+            loads = [weight * t * 1e-9 for t in spec.times]
+            costs = [weight * e for e in spec.energies] if energy else loads
+            # A positive weight keeps the spec's order unless two adjacent
+            # products round equal; then (machine, config) decides, so
+            # re-sort just this item.  Separated unit costs whose products
+            # stay normal floats cannot round equal.
+            if not (
+                spec.separated
+                and costs
+                and costs[0] >= _MIN_NORMAL
+                and costs[-1] <= _MAX_FINITE
+            ) and any(a == b for a, b in zip(costs, costs[1:])):
                 order = sorted(
                     range(len(options)),
                     key=lambda k: (
@@ -232,10 +331,6 @@ class CapacityPlanner:
         return rows
 
     # -- solving --------------------------------------------------------------
-    @staticmethod
-    def _fits(load: float, remaining: float) -> bool:
-        return load <= remaining + abs(remaining) * _REL_TOL + 1e-12
-
     def _greedy(
         self, request: PlanRequest, rows: Sequence[_Row]
     ) -> list[tuple[_Option, float, float]]:
@@ -261,7 +356,9 @@ class CapacityPlanner:
             options, loads, costs = rows[index]
             for k, option in enumerate(options):
                 machine = option[0].machine
-                if self._fits(loads[k], remaining[machine]):
+                room = remaining[machine]
+                # Fits, up to the float slack of a sum of loads.
+                if loads[k] <= room + abs(room) * _REL_TOL + 1e-12:
                     break
             else:
                 item = request.mix[index]
@@ -288,7 +385,13 @@ class CapacityPlanner:
             "objective": request.objective,
         }
         with obs_trace.span("plan.solve", tags=tags):
-            rows = self._rows(request)
+            spec_of = [
+                (item.workload, item.size_gb, item.num_threads)
+                for item in request.mix
+            ]
+            by_spec = self._columns(request, list(dict.fromkeys(spec_of)))
+            columns = [by_spec[spec] for spec in spec_of]
+            rows = self._rows(request, columns)
             obs_metrics.add(
                 "plan.candidates",
                 float(sum(len(options) for options, _, _ in rows)),
@@ -297,19 +400,11 @@ class CapacityPlanner:
             # Every field comes from the validated request or the engine,
             # and check_plan audits the assembled plan below.
             assignments = tuple(
-                PlanAssignment._trusted(
-                    item=item,
-                    machine=query.machine,
-                    config=query.config,
-                    time_ns=result.time_ns,  # type: ignore[arg-type]
-                    metric=result.metric,  # type: ignore[arg-type]
-                    metric_name=result.metric_name,
-                    metric_unit=result.metric_unit,
-                    load_nodes=load,
-                    energy_j=energy_j,
+                PlanAssignment._from_template(
+                    spec.templates[query.machine, query.config], item, load
                 )
-                for item, ((query, result, energy_j), load, _) in zip(
-                    request.mix, chosen
+                for item, spec, ((query, _, _), load, _) in zip(
+                    request.mix, columns, chosen
                 )
             )
             totals = {entry.machine: 0.0 for entry in request.pool}

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -38,9 +37,11 @@ __all__ = ["Coalescer"]
 
 @dataclass
 class _Pending:
-    """One queued query and the future its requests await."""
+    """One queued query, what travels with it, and the future its
+    requests await."""
 
     query: Query
+    payload: Any
     future: "asyncio.Future[PredictionResult]" = field(repr=False, kw_only=True)
 
 
@@ -50,10 +51,11 @@ class Coalescer:
     Parameters
     ----------
     evaluate:
-        ``(list[Query]) -> list[PredictionResult]``, executed on
-        ``pool`` (a ``concurrent.futures`` executor) — must be safe to
-        call from pool threads (the service hands out thread-local
-        predictors).
+        ``(list[Query], list[payload]) -> list[PredictionResult]``,
+        executed on ``pool`` (a ``concurrent.futures`` executor) with a
+        batch's queries and their payloads, index for index — must be
+        safe to call from pool threads (the service hands out
+        thread-local predictors).
     pool:
         The bounded worker pool batches are dispatched to.
     max_batch:
@@ -68,7 +70,7 @@ class Coalescer:
 
     def __init__(
         self,
-        evaluate: Callable[[list[Query]], Sequence[PredictionResult]],
+        evaluate: Callable[[list[Query], list[Any]], Sequence[PredictionResult]],
         *,
         pool: Any,
         max_batch: int = 256,
@@ -139,11 +141,12 @@ class Coalescer:
 
     # -- admission ------------------------------------------------------------
     def submit(
-        self, query: Query, key: Hashable
+        self, query: Query, payload: Any
     ) -> "asyncio.Future[PredictionResult]":
         """Enqueue one query; the returned future resolves when its batch
-        has been evaluated.  ``key`` is the query's wire key (the service
-        passes the query itself); the coalescer does not read it.
+        has been evaluated.  ``payload`` reaches ``evaluate`` with the
+        query (the service passes the sweep cell it resolved the query
+        to); the coalescer does not read it.
 
         Raises :class:`~repro.api.errors.CapacityError` when the queue
         is full or the coalescer is shutting down.
@@ -162,7 +165,7 @@ class Coalescer:
         future: "asyncio.Future[PredictionResult]" = (
             asyncio.get_running_loop().create_future()
         )
-        self._queue.append(_Pending(query, future=future))
+        self._queue.append(_Pending(query, payload, future=future))
         self.submitted += 1
         if self.metrics is not None:
             self.metrics.set_gauge("serve.queue_depth", float(len(self._queue)))
@@ -209,7 +212,10 @@ class Coalescer:
         self._inflight += 1
         try:
             results = await loop.run_in_executor(
-                self._pool, self._evaluate_list, [p.query for p in batch]
+                self._pool,
+                self._evaluate_list,
+                [p.query for p in batch],
+                [p.payload for p in batch],
             )
             for pending, result in zip(batch, results):
                 if not pending.future.done():
@@ -221,5 +227,7 @@ class Coalescer:
         finally:
             self._inflight -= 1
 
-    def _evaluate_list(self, queries: list[Query]) -> list[PredictionResult]:
-        return list(self._evaluate(queries))
+    def _evaluate_list(
+        self, queries: list[Query], payloads: list[Any]
+    ) -> list[PredictionResult]:
+        return list(self._evaluate(queries, payloads))

@@ -6,13 +6,14 @@ deadlines, admission and the envelopes — is the shared
 :class:`~repro.serve.pipeline.RequestPipeline`; this class supplies the
 back half:
 
-* every query is resolved against the model, in submission order, so
-  the first invalid one raises its typed error before anything
-  evaluates;
 * each query is looked up in the TTL result cache, keyed by the query
-  itself, and the misses go to the coalescer under the per-request
-  deadline, whose expiry cancels still-queued work (the executor keys
-  each miss's run once, for the content-addressed run cache);
+  itself, in submission order; each miss is resolved against the model
+  there and then, so the first invalid query raises its typed error
+  before anything evaluates (a cached answer's query already resolved);
+* the misses go to the coalescer with their resolved cells under the
+  per-request deadline, whose expiry cancels still-queued work, and the
+  worker evaluates those cells without resolving again (the executor
+  keys each miss's run once, for the content-addressed run cache);
 * a ``/v1/plan`` solve runs on a pool thread through that thread's
   :class:`~repro.plan.planner.CapacityPlanner`.
 
@@ -35,7 +36,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import repro
 from repro.api.envelope import success_envelope
@@ -47,6 +48,9 @@ from repro.serve.cache import TTLCache
 from repro.serve.coalescer import Coalescer
 from repro.serve.config import ServiceConfig
 from repro.serve.pipeline import RequestPipeline, sum_counters
+
+if TYPE_CHECKING:
+    from repro.core.executor import SweepCell
 
 __all__ = ["ServiceConfig", "PredictionService"]
 
@@ -141,28 +145,33 @@ class PredictionService(RequestPipeline):
         with self._predictors_lock:
             return list(self._predictors)
 
-    def _evaluate_batch(self, queries: list[Query]) -> list[PredictionResult]:
-        """One dense batch through this pool thread's predictor."""
+    def _evaluate_batch(
+        self, queries: list[Query], cells: list[SweepCell]
+    ) -> list[PredictionResult]:
+        """One dense batch of already-resolved queries through this pool
+        thread's predictor."""
         hook = self.fault_hook
         if hook is not None:
             hook()
-        return self._worker_predictor().predict_many(queries)
+        return self._worker_predictor().predict_many(queries, cells)
 
     # -- the back half (event loop) -------------------------------------------
     async def _answer(
         self, queries: list[Query], deadline_s: float
     ) -> tuple[list[PredictionResult], int]:
-        """Validate every query in submission order before evaluating
-        any, then answer hits from the TTL result cache (keyed by the
-        query itself) and misses through the coalescer (**each** query
-        counts one hit or miss)."""
-        for query in queries:
-            self._resolver.resolve(query)
+        """Answer hits from the TTL result cache (keyed by the query
+        itself) and misses through the coalescer (**each** query counts
+        one hit or miss).  Each miss is resolved once, here, in
+        submission order and before anything is submitted; a hit's query
+        resolved when its answer was computed, so it is not resolved
+        again."""
         results: list[PredictionResult | None] = [None] * len(queries)
         misses: list[int] = []
+        cells: list[SweepCell] = []
         for i, query in enumerate(queries):
             cached = self.cache.get(query)
             if cached is None:
+                cells.append(self._resolver.resolve(query))
                 misses.append(i)
             else:
                 results[i] = cached
@@ -172,7 +181,8 @@ class PredictionService(RequestPipeline):
         if misses:
             assert self._coalescer is not None
             futures = [
-                self._coalescer.submit(queries[i], queries[i]) for i in misses
+                self._coalescer.submit(queries[i], cell)
+                for i, cell in zip(misses, cells)
             ]
             pending = f"{len(futures)} queries pending"
             # The single-query request is the hot path: skip the gather layer.

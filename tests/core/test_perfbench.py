@@ -181,6 +181,7 @@ class TestCommittedBenchFilesRoundTrip:
         committed = json.loads((REPO_ROOT / "BENCH_plan.json").read_text())
         document = {
             "planner": {**committed["planner"], "latency_ms": {"10": 1.5}},
+            "host_probe_ms": 3.5,
         }
         before, after = self._round_trip(
             "BENCH_plan.json", tmp_path,
@@ -190,3 +191,4 @@ class TestCommittedBenchFilesRoundTrip:
         )
         assert after["note"] == before["note"]
         assert after["history"][-1]["plan_latency_ms"] == {"10": 1.5}
+        assert after["history"][-1]["host_probe_ms"] == 3.5

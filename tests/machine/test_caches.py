@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.machine.caches import (
-    CacheGeometry,
-    SetAssociativeCache,
-    knl_l1d,
-    knl_l2,
-)
+from repro.machine.caches import CacheGeometry, knl_l1d, knl_l2
 from repro.util.units import KiB, MiB
+from tests.oracles.cachesim import SetAssociativeCache
 
 
 class TestGeometry:

@@ -8,6 +8,6 @@ Two kinds live here, and no module under ``src/`` imports either
   to them;
 * independent models that cross-check the library's closed forms
   (``eventsim``, a discrete-event queueing simulator, and ``traces``,
-  trace-driven cache validation); the tests check agreement within a
-  tolerance.
+  trace-driven cache validation on the ``cachesim`` functional cache);
+  the tests check agreement within a tolerance.
 """

@@ -4,7 +4,7 @@ The analytic models in :mod:`repro.memory.mcdram_cache` use closed forms
 (the random-access hit rate ``(1/r)(1-e^-r)``, the modulo streaming
 tail).  This module generates the address streams those formulas describe
 and drives the *functional* cache simulator
-(:class:`repro.machine.caches.SetAssociativeCache`) with them, so tests
+(:class:`tests.oracles.cachesim.SetAssociativeCache`) with them, so tests
 can confirm the formulas at reduced scale instead of trusting them.
 
 Patterns:
@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.caches import CacheGeometry, SetAssociativeCache
+from repro.machine.caches import CacheGeometry
 from repro.util.prng import make_rng
 from repro.util.units import CACHE_LINE
 from repro.util.validation import check_positive
+from tests.oracles.cachesim import SetAssociativeCache
 
 
 def sequential_trace(

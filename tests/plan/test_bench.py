@@ -9,7 +9,14 @@ import pytest
 
 from repro.api.facade import Predictor
 from repro.core.perfbench import write_bench_json
-from repro.plan.bench import REPEATS, history_row, measure_plan, synthetic_request
+from repro.plan.bench import (
+    REPEATS,
+    _probe_kernel,
+    history_row,
+    host_probe_ms,
+    measure_plan,
+    synthetic_request,
+)
 from repro.plan.planner import CapacityPlanner
 
 
@@ -78,3 +85,19 @@ def test_history_keeps_the_cold_medians(resolves, tmp_path):
     assert [row["plan_latency_ms"] for row in written["history"]] == [
         document["planner"]["latency_ms"]
     ] * 2
+
+
+def test_history_rows_carry_the_host_probe(resolves, tmp_path):
+    _, _, document = resolves
+    assert document["host_probe_ms"] > 0.0
+    path = str(tmp_path / "BENCH_plan.json")
+    write_bench_json(document, path, history_row(document))
+    with open(path, encoding="utf-8") as handle:
+        (row,) = json.load(handle)["history"]
+    assert row["host_probe_ms"] == document["host_probe_ms"]
+
+
+def test_the_host_probe_times_a_fixed_kernel():
+    # The same work every call: the probe measures the host, not its input.
+    assert _probe_kernel() == _probe_kernel()
+    assert host_probe_ms(calls=3) > 0.0

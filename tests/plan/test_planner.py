@@ -542,7 +542,10 @@ class TestTieBreak:
             mix=(item,),
             pool=tuple(PoolEntry(e.machine, 10_000) for e in POOL),
         )
-        ((options, loads, costs),) = planner._rows(request)
+        spec = (item.workload, item.size_gb, item.num_threads)
+        columns = planner._columns(request, [spec])[spec]
+        assert not columns.separated
+        ((options, loads, costs),) = planner._rows(request, [columns])
         plain = sorted(
             (self.WEIGHT * r.time_ns * 1e-9, q.machine, q.config)
             for q, r, _ in self._options()

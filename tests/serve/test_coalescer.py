@@ -32,13 +32,18 @@ def _result(query: Query) -> PredictionResult:
 
 
 class RecordingEvaluator:
-    """Stub evaluate() that records the batches it was handed."""
+    """Stub evaluate() that records the batches (and their payloads) it
+    was handed."""
 
     def __init__(self) -> None:
         self.batches: list[list[Query]] = []
+        self.payloads: list[list[object]] = []
 
-    def __call__(self, queries: list[Query]) -> list[PredictionResult]:
+    def __call__(
+        self, queries: list[Query], payloads: list[object]
+    ) -> list[PredictionResult]:
         self.batches.append(list(queries))
+        self.payloads.append(list(payloads))
         return [_result(q) for q in queries]
 
 
@@ -66,6 +71,8 @@ def test_concurrent_submissions_coalesce_into_one_batch():
     assert [q.size_gb for q in evaluator.batches[0]] == [
         1.0 + i for i in range(8)
     ]
+    # Each payload reaches evaluate beside its query.
+    assert evaluator.payloads == [[f"k{i}" for i in range(8)]]
 
 
 def test_free_dispatcher_sends_at_once_and_queued_arrivals_batch_together():
@@ -75,8 +82,8 @@ def test_free_dispatcher_sends_at_once_and_queued_arrivals_batch_together():
     release = threading.Event()
     evaluator = RecordingEvaluator()
 
-    def held(queries: list[Query]) -> list[PredictionResult]:
-        results = evaluator(queries)
+    def held(queries: list[Query], payloads: list[object]) -> list[PredictionResult]:
+        results = evaluator(queries, payloads)
         release.wait(timeout=10.0)
         return results
 

@@ -169,6 +169,46 @@ class TestCoalescingIdentity:
         assert second["meta"]["cached"] == 1
         assert first["results"] == second["results"]
 
+    def test_each_fresh_query_is_resolved_once(self, monkeypatch):
+        # The event loop resolves a miss to validate it, and the worker
+        # evaluates that cell; a cache hit is not resolved at all.
+        calls = []
+        resolve = Predictor.resolve
+        monkeypatch.setattr(
+            Predictor,
+            "resolve",
+            lambda self, query: calls.append(query) or resolve(self, query),
+        )
+        batch = {"queries": [q.to_dict() for q in QUERIES[:3]]}
+
+        async def scenario(service):
+            first = await service.handle_predict(batch)
+            fresh = list(calls)
+            second = await service.handle_predict(batch)
+            return first, second, fresh
+
+        first, second, fresh = run_service(scenario)
+        assert fresh == QUERIES[:3]
+        assert calls == fresh
+        assert second["meta"]["cached"] == 3
+        assert first["results"] == second["results"]
+
+    def test_an_invalid_query_refuses_the_request_before_any_evaluation(self):
+        from repro.api import UnknownWorkloadError
+
+        bad = {"workload": "linpack", "size_gb": 4.0, "config": "DRAM"}
+
+        async def scenario(service):
+            await service.handle_predict({"query": QUERIES[0].to_dict()})
+            submitted = service._coalescer.submitted
+            with pytest.raises(UnknownWorkloadError):
+                await service.handle_predict(
+                    {"queries": [QUERIES[0].to_dict(), QUERIES[1].to_dict(), bad]}
+                )
+            return service._coalescer.submitted - submitted
+
+        assert run_service(scenario) == 0
+
     def test_sizes_sharing_a_run_are_separate_cache_entries(self):
         # 3.0 and 3.5 GB quantize to one run, but the result cache keys
         # the query itself: the second request misses it, is answered
@@ -263,11 +303,13 @@ class TestDeadlinesAndBackpressure:
             # Fill the admission queue synchronously (no await), then
             # one more submission must bounce.
             futures = [
-                service._coalescer.submit(q, f"k{i}")
-                for i, q in enumerate(QUERIES[:2])
+                service._coalescer.submit(q, service._resolver.resolve(q))
+                for q in QUERIES[:2]
             ]
             with pytest.raises(CapacityError):
-                service._coalescer.submit(QUERIES[2], "overflow")
+                service._coalescer.submit(
+                    QUERIES[2], service._resolver.resolve(QUERIES[2])
+                )
             await asyncio.gather(*futures)
 
         run_service(scenario, ServiceConfig(max_queue=2))
