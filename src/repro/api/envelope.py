@@ -138,7 +138,6 @@ def plan_envelope_bytes(result: "PlanResult", meta: Mapping[str, Any]) -> bytes:
 
     fragments: dict[tuple[Any, ...], tuple[str, str, str]] = {}
     assignments = []
-    float_repr = float.__repr__
     for a in result.assignments:
         item = a.item
         parts = a.encoded
@@ -157,20 +156,9 @@ def plan_envelope_bytes(result: "PlanResult", meta: Mapping[str, Any]) -> bytes:
                     (item.workload, item.size_gb, item.num_threads), vars(a)
                 )
         head, middle, tail = parts
-        weight, load = item.weight, a.load_nodes
-        # A finite float (x - x == 0.0) is written as float.__repr__
-        # writes it; _scalar takes every other value.
-        weight = (
-            float_repr(weight)
-            if weight.__class__ is float and weight - weight == 0.0
-            else _scalar(weight)
+        assignments.append(
+            head + _scalar(item.weight) + middle + _scalar(a.load_nodes) + tail
         )
-        load = (
-            float_repr(load)
-            if load.__class__ is float and load - load == 0.0
-            else _scalar(load)
-        )
-        assignments.append(f"{head}{weight}{middle}{load}{tail}")
     loads = [load.to_dict() for load in result.loads]
     return (
         '{"meta": ' + json.dumps(meta, sort_keys=True)

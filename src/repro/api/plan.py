@@ -424,20 +424,6 @@ class PlanAssignment:
         self.__dict__.update(fields)
         return self
 
-    @classmethod
-    def _from_template(
-        cls, template: Mapping[str, Any], item: TrafficItem, load_nodes: float
-    ) -> "PlanAssignment":
-        """Like :meth:`_trusted`, with every field but ``item`` and
-        ``load_nodes`` (``encoded`` included) taken from ``template``,
-        which the planner builds once per priced option."""
-        self = object.__new__(cls)
-        fields = self.__dict__
-        fields.update(template)
-        fields["item"] = item
-        fields["load_nodes"] = load_nodes
-        return self
-
     @property
     def time_s(self) -> float:
         return self.time_ns * 1e-9

@@ -142,11 +142,11 @@ def _probe_kernel() -> float:
     return len(text) + ranked[0][1]
 
 
-def host_probe_ms(calls: int = REPEATS) -> float:
-    """The host's speed now: the median milliseconds of ``calls`` runs
-    of a fixed pure-Python kernel.  A run whose probe reads 1.5x longer
-    than another's ran on a 1.5x slower host (or interpreter)."""
-    return statistics.median(_timed_ms(_probe_kernel) for _ in range(calls))
+def host_probe_ms() -> float:
+    """The host's speed now: the median milliseconds of :data:`REPEATS`
+    runs of a fixed pure-Python kernel.  A run whose probe reads 1.5x
+    longer than another's ran on a 1.5x slower host (or interpreter)."""
+    return statistics.median(_timed_ms(_probe_kernel) for _ in range(REPEATS))
 
 
 def _timed_ms(call: Callable[[], object]) -> float:

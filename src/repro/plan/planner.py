@@ -26,9 +26,7 @@ Given a declarative traffic mix and a machine pool
    and objective: the ranked columns, with each option's assignment
    template and JSON text, are remembered under the same bound.  Each
    item adds only its load (``weight * time_s``, Little's law) and
-   cost, and is re-sorted only where two adjacent products round equal;
-   it skips that scan where its spec's unit costs are provably too far
-   apart to round equal;
+   cost, and is re-sorted only where two of its products round equal;
 3. **solves** the placement: deterministic greedy best-fit-decreasing
    (hardest items first, each on its cheapest candidate that still
    fits), minimizing aggregate runtime load or aggregate energy under
@@ -54,7 +52,6 @@ identity test pins.
 
 from __future__ import annotations
 
-import sys
 from collections import OrderedDict
 from typing import Any, Sequence
 
@@ -77,16 +74,6 @@ __all__ = ["CapacityPlanner", "plan_request"]
 
 #: Relative capacity slack for float sums of loads.
 _REL_TOL = 1e-9
-
-#: Relative gap between two distinct unit costs beyond which no weight
-#: can round their products equal.  Each product is rounded at most twice
-#: (``weight * time_ns * 1e-9``), each time by at most 2**-53 relative
-#: while it stays a normal float, so any gap far above 2**-51 survives.
-_SEPARATED = 1e-12
-
-#: The smallest normal and the largest finite float.
-_MIN_NORMAL = sys.float_info.min
-_MAX_FINITE = sys.float_info.max
 
 
 #: A mix item's ``(workload, size_gb, num_threads)``: items that share
@@ -117,27 +104,17 @@ class _Columns:
     config) for one objective, with everything its items share.
 
     ``times`` and ``energies`` are the options' ``time_ns`` and energy
-    per arrival; an item multiplies them by its weight.  ``separated``
-    says that every two adjacent unit costs are exactly equal or more
-    than :data:`_SEPARATED` apart relatively, so a weight whose products
-    stay normal floats keeps this order.  ``templates`` maps each
-    option's ``(machine, config)`` to its assignment fields other than
-    ``item`` and ``load_nodes``, their JSON text included.
+    per arrival; an item multiplies them by its weight.  ``templates``
+    maps each option's ``(machine, config)`` to its assignment fields
+    other than ``item`` and ``load_nodes``, their JSON text included.
     """
 
-    __slots__ = ("options", "times", "energies", "separated", "templates")
+    __slots__ = ("options", "times", "energies", "templates")
 
-    def __init__(
-        self, spec: _Spec, options: Sequence[_Option], energy: bool
-    ) -> None:
+    def __init__(self, spec: _Spec, options: Sequence[_Option]) -> None:
         self.options = tuple(options)
         self.times = [result.time_ns for _, result, _ in options]
         self.energies = [energy_j for _, _, energy_j in options]
-        units = self.energies if energy else self.times
-        self.separated = all(
-            a == b or b > a * (1.0 + _SEPARATED)
-            for a, b in zip(units, units[1:])
-        )
         self.templates: dict[tuple[str, str], dict[str, Any]] = {}
         for query, result, energy_j in options:
             template = {
@@ -285,9 +262,8 @@ class CapacityPlanner:
             # mix order still raises.
             for workload, size_gb, _ in unseen:
                 sized_workload(workload, size_gb)
-            energy = objective == "energy"
             for spec, options in self._ranked_options(request, unseen).items():
-                found = columns[spec] = _Columns(spec, options, energy)
+                found = columns[spec] = _Columns(spec, options)
                 self._remember(memo, (spec, pool, objective), found)
         return columns
 
@@ -308,16 +284,10 @@ class CapacityPlanner:
             weight = item.weight
             loads = [weight * t * 1e-9 for t in spec.times]
             costs = [weight * e for e in spec.energies] if energy else loads
-            # A positive weight keeps the spec's order unless two adjacent
-            # products round equal; then (machine, config) decides, so
-            # re-sort just this item.  Separated unit costs whose products
-            # stay normal floats cannot round equal.
-            if not (
-                spec.separated
-                and costs
-                and costs[0] >= _MIN_NORMAL
-                and costs[-1] <= _MAX_FINITE
-            ) and any(a == b for a, b in zip(costs, costs[1:])):
+            # A positive weight keeps the spec's order unless two products
+            # round equal; then (machine, config) decides, so re-sort just
+            # this item.
+            if len(set(costs)) < len(costs):
                 order = sorted(
                     range(len(options)),
                     key=lambda k: (
@@ -400,8 +370,10 @@ class CapacityPlanner:
             # Every field comes from the validated request or the engine,
             # and check_plan audits the assembled plan below.
             assignments = tuple(
-                PlanAssignment._from_template(
-                    spec.templates[query.machine, query.config], item, load
+                PlanAssignment._trusted(
+                    item=item,
+                    load_nodes=load,
+                    **spec.templates[query.machine, query.config],
                 )
                 for item, spec, ((query, _, _), load, _) in zip(
                     request.mix, columns, chosen

@@ -6,14 +6,15 @@ deadlines, admission and the envelopes — is the shared
 :class:`~repro.serve.pipeline.RequestPipeline`; this class supplies the
 back half:
 
+* every query is resolved against the model, in submission order, so
+  the first invalid one raises its typed error before the result cache
+  or anything else sees the request;
 * each query is looked up in the TTL result cache, keyed by the query
-  itself, in submission order; each miss is resolved against the model
-  there and then, so the first invalid query raises its typed error
-  before anything evaluates (a cached answer's query already resolved);
-* the misses go to the coalescer with their resolved cells under the
-  per-request deadline, whose expiry cancels still-queued work, and the
-  worker evaluates those cells without resolving again (the executor
-  keys each miss's run once, for the content-addressed run cache);
+  itself, and the misses go to the coalescer with their resolved cells
+  under the per-request deadline, whose expiry cancels still-queued
+  work; the worker evaluates those cells without resolving again (the
+  executor keys each miss's run once, for the content-addressed run
+  cache);
 * a ``/v1/plan`` solve runs on a pool thread through that thread's
   :class:`~repro.plan.planner.CapacityPlanner`.
 
@@ -159,19 +160,20 @@ class PredictionService(RequestPipeline):
     async def _answer(
         self, queries: list[Query], deadline_s: float
     ) -> tuple[list[PredictionResult], int]:
-        """Answer hits from the TTL result cache (keyed by the query
-        itself) and misses through the coalescer (**each** query counts
-        one hit or miss).  Each miss is resolved once, here, in
-        submission order and before anything is submitted; a hit's query
-        resolved when its answer was computed, so it is not resolved
-        again."""
+        """Resolve every query in submission order, so the first invalid
+        one refuses the request before the cache or the coalescer sees
+        any; then answer hits from the TTL result cache (keyed by the
+        query itself) and misses through the coalescer (**each** query
+        counts one hit or miss), which carries each miss's resolved cell
+        to the worker."""
+        cells: list[SweepCell] = [
+            self._resolver.resolve(query) for query in queries
+        ]
         results: list[PredictionResult | None] = [None] * len(queries)
         misses: list[int] = []
-        cells: list[SweepCell] = []
         for i, query in enumerate(queries):
             cached = self.cache.get(query)
             if cached is None:
-                cells.append(self._resolver.resolve(query))
                 misses.append(i)
             else:
                 results[i] = cached
@@ -181,8 +183,7 @@ class PredictionService(RequestPipeline):
         if misses:
             assert self._coalescer is not None
             futures = [
-                self._coalescer.submit(queries[i], cell)
-                for i, cell in zip(misses, cells)
+                self._coalescer.submit(queries[i], cells[i]) for i in misses
             ]
             pending = f"{len(futures)} queries pending"
             # The single-query request is the hot path: skip the gather layer.

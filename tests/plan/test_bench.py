@@ -11,7 +11,6 @@ from repro.api.facade import Predictor
 from repro.core.perfbench import write_bench_json
 from repro.plan.bench import (
     REPEATS,
-    _probe_kernel,
     history_row,
     host_probe_ms,
     measure_plan,
@@ -97,7 +96,5 @@ def test_history_rows_carry_the_host_probe(resolves, tmp_path):
     assert row["host_probe_ms"] == document["host_probe_ms"]
 
 
-def test_the_host_probe_times_a_fixed_kernel():
-    # The same work every call: the probe measures the host, not its input.
-    assert _probe_kernel() == _probe_kernel()
-    assert host_probe_ms(calls=3) > 0.0
+def test_the_host_probe_reads_a_finite_time():
+    assert 0.0 < host_probe_ms() < float("inf")

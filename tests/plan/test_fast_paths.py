@@ -1,18 +1,17 @@
 """The warm planner's per-option fast paths against the per-item oracle.
 
 A warm :class:`~repro.plan.planner.CapacityPlanner` ranks each spec's
-options once per pool and objective, skips an item's tie scan only where
-its spec's unit costs are provably separated, builds assignments from
-per-option templates and hands the encoder pre-encoded fragments.  Each
+options once per pool and objective, re-sorts an item only where two of
+its products round equal, builds assignments from per-option templates
+and hands the encoder pre-encoded fragments.  Each
 of those must leave every answer byte-identical to
 :class:`~tests.plan.reference_planner.ReferencePlanner`, which prices and
 sorts every item on its own.
 
 The model's real predictions are never adversarial, so the engine is
 replaced here by a table of crafted unit costs, identical for both
-planners: costs one ulp apart, exactly equal, around the separation
-threshold, and far apart, under weights at and beyond the edges of the
-normal float range.
+planners: costs one ulp apart, exactly equal, in near pairs, and far
+apart, under weights at and beyond the edges of the normal float range.
 """
 
 from __future__ import annotations
@@ -57,15 +56,6 @@ def _ulps(x: float, n: int) -> float:
     return x
 
 
-def _chain(step) -> list[float]:
-    """Six unit costs, descending, each ``step`` of the next (the last
-    is ``T``)."""
-    units = [T]
-    for _ in range(5):
-        units.insert(0, step(units[0]))
-    return units
-
-
 #: Unit costs by option position.  Each list runs against (machine,
 #: config) order, so wherever a weight rounds two products equal the
 #: item's order must flip back to (machine, config).
@@ -73,9 +63,6 @@ UNITS = {
     "one-ulp": [_ulps(T, 5 - i) for i in range(6)],
     "equal": [T] * 6,
     "pairs": [_ulps(T, 1), T * 2.0, T, _ulps(T, 1), T, T * (1 + 2e-12)],
-    # Each pair exactly at the separation threshold, and one ulp past it.
-    "threshold": _chain(lambda u: u * (1 + 1e-12)),
-    "past-threshold": _chain(lambda u: math.nextafter(u * (1 + 1e-12), math.inf)),
     "far": [T * (1.5 ** (5 - i)) for i in range(6)],
 }
 
@@ -172,28 +159,6 @@ def test_edge_weights_match_the_reference(predictor, scenario, objective):
             request = _request([weight, weight, 1.0], objective)
             served = _answer(CapacityPlanner(predictor), request)
             assert served == _answer(ReferencePlanner(predictor), request), weight
-
-
-@pytest.mark.parametrize(
-    "scenario, separated",
-    [
-        ("one-ulp", False),
-        ("equal", True),
-        ("pairs", False),
-        ("threshold", False),
-        ("past-threshold", True),
-        ("far", True),
-    ],
-)
-def test_only_provably_separated_specs_skip_the_tie_scan(
-    predictor, scenario, separated
-):
-    with pytest.MonkeyPatch.context() as patch:
-        CraftedEngine(UNITS[scenario]).install(patch)
-        planner = CapacityPlanner(predictor)
-        planner.plan(_request([1.0], "runtime"))
-    (columns,) = planner._columns_memo.values()
-    assert columns.separated is separated
 
 
 @settings(

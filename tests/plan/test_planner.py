@@ -544,7 +544,6 @@ class TestTieBreak:
         )
         spec = (item.workload, item.size_gb, item.num_threads)
         columns = planner._columns(request, [spec])[spec]
-        assert not columns.separated
         ((options, loads, costs),) = planner._rows(request, [columns])
         plain = sorted(
             (self.WEIGHT * r.time_ns * 1e-9, q.machine, q.config)

@@ -169,9 +169,9 @@ class TestCoalescingIdentity:
         assert second["meta"]["cached"] == 1
         assert first["results"] == second["results"]
 
-    def test_each_fresh_query_is_resolved_once(self, monkeypatch):
-        # The event loop resolves a miss to validate it, and the worker
-        # evaluates that cell; a cache hit is not resolved at all.
+    def test_each_query_is_resolved_once_per_request(self, monkeypatch):
+        # The event loop resolves every query to validate it, and the
+        # worker evaluates a miss's cell without resolving it again.
         calls = []
         resolve = Predictor.resolve
         monkeypatch.setattr(
@@ -189,7 +189,7 @@ class TestCoalescingIdentity:
 
         first, second, fresh = run_service(scenario)
         assert fresh == QUERIES[:3]
-        assert calls == fresh
+        assert calls == fresh * 2
         assert second["meta"]["cached"] == 3
         assert first["results"] == second["results"]
 
@@ -201,13 +201,18 @@ class TestCoalescingIdentity:
         async def scenario(service):
             await service.handle_predict({"query": QUERIES[0].to_dict()})
             submitted = service._coalescer.submitted
+            lookups = (service.cache.hits, service.cache.misses)
             with pytest.raises(UnknownWorkloadError):
                 await service.handle_predict(
                     {"queries": [QUERIES[0].to_dict(), QUERIES[1].to_dict(), bad]}
                 )
-            return service._coalescer.submitted - submitted
+            return (
+                service._coalescer.submitted - submitted,
+                (service.cache.hits, service.cache.misses) == lookups,
+            )
 
-        assert run_service(scenario) == 0
+        # Nothing evaluates, and the refused request touches no cache entry.
+        assert run_service(scenario) == (0, True)
 
     def test_sizes_sharing_a_run_are_separate_cache_entries(self):
         # 3.0 and 3.5 GB quantize to one run, but the result cache keys
