@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any
 
 from repro.api.errors import (
@@ -415,13 +416,20 @@ class PlanAssignment:
         )
 
     @classmethod
-    def _trusted(cls, **fields: Any) -> "PlanAssignment":
+    def _trusted(
+        cls, template: Mapping[str, Any] = MappingProxyType({}), /, **fields: Any
+    ) -> "PlanAssignment":
         """Build from fields that are already canonical, skipping
-        ``__post_init__``: the planner's values come from a validated
+        ``__post_init__``: those of ``template`` (``encoded`` may be one),
+        then ``fields``.  The planner passes each option's fields, built
+        once, as ``template``, and each item's ``item`` and
+        ``load_nodes`` as ``fields``; its values come from a validated
         :class:`PlanRequest` and the engine, and every plan passes
         :func:`repro.plan.check_plan` before it is returned."""
         self = object.__new__(cls)
-        self.__dict__.update(fields)
+        attributes = self.__dict__
+        attributes.update(template)
+        attributes.update(fields)
         return self
 
     @property

@@ -371,9 +371,9 @@ class CapacityPlanner:
             # and check_plan audits the assembled plan below.
             assignments = tuple(
                 PlanAssignment._trusted(
+                    spec.templates[query.machine, query.config],
                     item=item,
                     load_nodes=load,
-                    **spec.templates[query.machine, query.config],
                 )
                 for item, spec, ((query, _, _), load, _) in zip(
                     request.mix, columns, chosen
